@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import entropy, harness, inverse, toy
-from .direct import check_invariants, solve_pair
+from .direct import check_invariants, solve_direct, solve_pair
 from .grid import GridFunction, make_grid, read_csv, write_csv
 
 OUT_DIR_ENV = "CELLDIV_OUT_DIR"
@@ -49,7 +49,6 @@ def _add_grid_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--grid-length", type=float, default=12.0)
     p.add_argument("--grid-n", type=int, default=4096)
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--max-iters", type=int, default=500_000)
 
 
 def _meta_path(output: Path) -> Path:
@@ -59,7 +58,8 @@ def _meta_path(output: Path) -> Path:
 def _cmd_direct(args) -> int:
     grid = make_grid(args.grid_length, args.grid_n)
     rate = harness.parse_rate_spec(args.bspec, grid)
-    pair = solve_pair(rate, tol=args.tol, max_iters=args.max_iters)
+    solve = solve_pair if args.which == "adjoint" else solve_direct
+    pair = solve(rate, tol=args.tol, max_iters=args.max_iters)
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
     profile = pair.phi if args.which == "adjoint" else pair.N
@@ -110,9 +110,10 @@ def _cmd_gap(args) -> int:
     lines = ["direction,delta,dn_norm,weighted_residual,ratio"]
     for i, s in enumerate(report.samples):
         lines.append(f"{i},{s.delta!r},{s.delta_n_norm!r},{s.weighted_residual_norm!r},{s.ratio!r}")
-    lines.append(f"summary,nu_hat,{report.nu_hat!r},moment_constant,{report.moment_check[2]!r}")
+    moment = float(report.moment_check[2])
+    lines.append(f"summary,nu_hat,{report.nu_hat!r},moment_constant,{moment!r}")
     Path(args.output).write_text("\n".join(lines) + "\n")
-    print(f"m={report.m} nu_hat={report.nu_hat:.6g} moment constant={report.moment_check[2]:.6g}")
+    print(f"m={report.m} nu_hat={report.nu_hat:.6g} moment constant={moment:.6g}")
     return 0
 
 
@@ -177,7 +178,7 @@ def _cmd_invert(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     lines = ["x,B_recovered,defined_flag"]
     for x, b, ok in zip(grid.nodes, solve.rate, solve.defined):
-        lines.append(f"{x!r},{'' if not ok else repr(float(b))},{int(ok)}")
+        lines.append(f"{float(x)!r},{'' if not ok else repr(float(b))},{int(ok)}")
     out.write_text("\n".join(lines) + "\n")
     rep = solve.report
     diag = {
@@ -261,6 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     for which in ("direct", "adjoint"):
         p = sub.add_parser(which, help=f"solve the {which} eigenproblem")
         _add_grid_flags(p)
+        p.add_argument("--max-iters", type=int, default=500_000)
         p.add_argument("--output", required=True)
         p.set_defaults(func=_cmd_direct, which=which)
 

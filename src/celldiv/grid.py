@@ -15,7 +15,8 @@ Two sampling rules recur throughout and are kept consistent on purpose:
 
 Quadrature is the trapezoid rule, matching the piecewise-linear
 interpolation order. Derivatives are centered differences with one-sided
-second-order stencils at the two boundary nodes.
+second-order stencils at the two boundary nodes. The implicit marchers of
+the toy and inverse problems share one first-order linear recurrence.
 """
 
 from __future__ import annotations
@@ -53,10 +54,6 @@ class Grid:
         object.__setattr__(self, "spacing", length / intervals)
         object.__setattr__(self, "nodes", nodes)
 
-    def refined(self, factor: int = 2) -> "Grid":
-        """Same domain with ``factor`` times more intervals."""
-        return Grid(self.length, self.intervals * factor)
-
 
 def make_grid(length: float, intervals: int) -> Grid:
     """Build a uniform grid on ``[0, length]`` with ``intervals`` cells."""
@@ -81,28 +78,20 @@ class GridFunction:
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
-    @classmethod
-    def from_callable(cls, grid: Grid, fn) -> "GridFunction":
-        return cls(grid, np.asarray(fn(grid.nodes), dtype=float))
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.grid.nodes
-
     def with_values(self, values: np.ndarray) -> "GridFunction":
         return GridFunction(self.grid, values)
 
 
 @dataclass(frozen=True)
 class WeightSpec:
-    """Quadrature weight: one of ``unit``, ``poly`` (x^m), ``exp`` (e^{ax}),
-    or ``squared-data`` (the square of a supplied grid function)."""
+    """Quadrature weight: one of ``unit``, ``poly`` (x^m) or ``squared-data``
+    (the square of a supplied grid function)."""
 
     kind: str
     parameter: float = 0.0
     data: GridFunction | None = None
 
-    _KINDS = ("unit", "poly", "exp", "squared-data")
+    _KINDS = ("unit", "poly", "squared-data")
 
     def __post_init__(self) -> None:
         if self.kind not in self._KINDS:
@@ -123,10 +112,6 @@ class WeightSpec:
         return cls("poly", float(exponent))
 
     @classmethod
-    def exponential(cls, rate: float) -> "WeightSpec":
-        return cls("exp", float(rate))
-
-    @classmethod
     def squared_data(cls, data: GridFunction) -> "WeightSpec":
         return cls("squared-data", 0.0, data)
 
@@ -137,8 +122,6 @@ class WeightSpec:
             return np.ones_like(x)
         if self.kind == "poly":
             return x ** int(self.parameter)
-        if self.kind == "exp":
-            return np.exp(self.parameter * x)
         if self.data.grid is not grid and self.data.grid != grid:
             raise ValueError("squared-data weight lives on a different grid")
         return self.data.values ** 2
@@ -148,11 +131,6 @@ def trapezoid(values: np.ndarray, grid: Grid) -> float:
     """Trapezoid quadrature of nodal values over [0, L]."""
     v = np.asarray(values, dtype=float)
     return grid.spacing * (0.5 * v[0] + v[1:-1].sum() + 0.5 * v[-1])
-
-
-def integrate(f: GridFunction, weight: WeightSpec | None = None) -> float:
-    w = 1.0 if weight is None else weight.on(f.grid)
-    return trapezoid(f.values * w, f.grid)
 
 
 def norm(f: GridFunction, weight: WeightSpec | None = None, order: str = "L2") -> float:
@@ -237,6 +215,23 @@ def double_sample_values(values: np.ndarray) -> np.ndarray:
 def double_samples(f: GridFunction) -> GridFunction:
     """Grid function ``x -> f(2 x)`` on the same grid, zero past the boundary."""
     return f.with_values(double_sample_values(f.values))
+
+
+def linear_recurrence(c: float, s: np.ndarray, x0: float = 0.0) -> np.ndarray:
+    """All of ``x_k = c x_{k-1} + s_k`` with ``x_{-1} = x0``, for ``0 <= c < 1``.
+
+    Recursive doubling: after the pass at distance ``d`` every entry sums
+    the last ``2 d`` sources, so ``log2(len(s))`` vector passes suffice, and
+    fewer once ``c**d`` underflows to zero.
+    """
+    x = np.array(s, dtype=float)
+    x[0] += c * x0
+    d, p = 1, float(c)
+    while p > 0.0 and d < x.size:
+        x[d:] += p * x[:-d]
+        d *= 2
+        p *= p
+    return x
 
 
 CSV_HEADER = "x,value"

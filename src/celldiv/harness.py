@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .direct import EigenPair, RateBounds, check_invariants, piecewise_rate, solve_pair
+from .direct import EigenPair, RateBounds, check_invariants, piecewise_rate, solve_direct, solve_pair
 from .fitting import fit_loglog_slope
 from .grid import Grid, GridFunction, make_grid, read_csv, sobolev_norm, write_csv
 from .inverse import (
@@ -239,8 +239,8 @@ def convergence_study(cfg: ExperimentConfig, progress=None) -> StudyReport:
     fails mid-sweep, the rows computed so far are persisted to the
     configured output directory before the error propagates.
     """
-    grid = cfg.grid()
-    rate, pair = synthesize(cfg.bspec, grid)
+    rate = parse_rate_spec(cfg.bspec, cfg.grid())
+    pair = solve_direct(rate)  # the sweep never reads the adjoint
     report = check_invariants(pair, rate)
     truth_rate = rate.rate
     lam = pair.lambda0

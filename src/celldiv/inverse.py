@@ -37,6 +37,7 @@ from .grid import (
     GridFunction,
     derivative_values,
     half_sample_values,
+    linear_recurrence,
     norm,
     trapezoid,
 )
@@ -204,22 +205,21 @@ class RegularizedSolve:
 def _march(F: np.ndarray, alpha: float, h: float) -> np.ndarray:
     """Implicit forward marching of alpha P' + 4 P = P(y/2) + F, P(0) = 0.
 
-    The half-argument read at node j touches nodes (j-1)/2 and (j+1)/2,
-    both already computed for j >= 2; at the first node it reduces to the
-    boundary value 0.
+    The half-argument reads of nodes ``lo..2 lo - 2`` only touch nodes
+    below ``lo``, so each such dyadic block is one linear recurrence with
+    a known source. At the first node the read meets the not yet computed
+    (zero) value there and reduces to the boundary value 0.
     """
     n = F.size - 1
     P = np.zeros(n + 1)
     r = alpha / h
     denom = r + 4.0
-    P[1] = F[1] / denom
-    for j in range(2, n + 1):
-        if j % 2 == 0:
-            half = P[j // 2]
-        else:
-            m = j // 2
-            half = 0.5 * (P[m] + P[m + 1])
-        P[j] = (r * P[j - 1] + half + F[j]) / denom
+    lo = 1
+    while lo <= n:
+        hi = min(max(lo, 2 * lo - 2), n)
+        source = half_sample_values(P[: hi + 1])[lo:] + F[lo : hi + 1]
+        P[lo : hi + 1] = linear_recurrence(r / denom, source / denom, P[lo - 1])
+        lo = hi + 1
     return P
 
 

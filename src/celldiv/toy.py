@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fitting import fit_loglog_slope
-from .grid import GridFunction, WeightSpec, derivative, norm, seminorm
+from .grid import GridFunction, WeightSpec, derivative, linear_recurrence, norm, seminorm
 from .noise import perturbed
 
 __all__ = [
@@ -111,14 +111,9 @@ def toy_solve(problem: ToyProblem, alpha: float, data: GridFunction | None = Non
         raise ValueError("regularization parameter must be positive")
     v = (problem.data if data is None else data).values
     h = problem.data.grid.spacing
-    w = np.empty_like(v)
-    w[0] = 0.0
-    scale = alpha / (alpha + h)
-    gain = 1.0 / (alpha + h)
-    # w_{j+1} = (alpha w_j + v_{j+1} - v_j) / (alpha + h)
-    dv = np.diff(v)
-    for j in range(v.size - 1):
-        w[j + 1] = scale * w[j] + gain * dv[j]
+    # w_{j+1} = (alpha w_j + v_{j+1} - v_j) / (alpha + h),  w_0 = 0
+    w = np.zeros_like(v)
+    w[1:] = linear_recurrence(alpha / (alpha + h), np.diff(v) / (alpha + h))
     return problem.data.with_values(w / problem.weight.values)
 
 

@@ -25,6 +25,9 @@ def test_direct_subcommand(tmp_path):
     meta = json.loads(out.with_suffix(".meta.json").read_text())
     assert abs(meta["lambda0"] - 1.0) <= 5e-3
     assert meta["invariants_passed"]
+    # only the adjoint subcommand solves for phi
+    assert meta["residual_phi"] is None
+    assert meta["phi_growth"] is None
 
 
 def test_adjoint_subcommand(tmp_path):
@@ -198,3 +201,34 @@ def test_gap_subcommand(tmp_path):
     assert lines[0] == "direction,delta,dn_norm,weighted_residual,ratio"
     assert lines[-1].startswith("summary,nu_hat,")
     assert len(lines) == 2 + 3
+
+
+def _numeric_fields(path, labels=("summary", "nu_hat", "moment_constant")):
+    """Every non-empty field of a CSV body except the summary labels."""
+    fields = []
+    for ln in path.read_text().splitlines()[1:]:
+        fields += [f for f in ln.split(",") if f and f not in labels]
+    return fields
+
+
+def test_invert_and_gap_write_plain_numbers(tmp_path):
+    profile = tmp_path / "N.csv"
+    main(["direct", "--bspec", "constant:1.0", "--grid-n", "256", "--output", str(profile)])
+    rate = tmp_path / "rate.csv"
+    main(["invert", "--data", str(profile), "--alpha", "0.01", "--output", str(rate)])
+    gap = tmp_path / "gap.csv"
+    main(["gap", "--bspec", "constant:1.0", "--grid-n", "256", "--directions", "2",
+          "--output", str(gap)])
+    for path in (rate, gap):
+        fields = _numeric_fields(path)
+        assert fields
+        for f in fields:
+            float(f)  # raises on numpy reprs such as np.float64(0.5)
+
+
+def test_gap_rejects_max_iters(tmp_path, capsys):
+    out = tmp_path / "gap.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["gap", "--bspec", "constant:1.0", "--max-iters", "5", "--output", str(out)])
+    assert exc.value.code == 2
+    assert "--max-iters" in capsys.readouterr().err

@@ -8,6 +8,7 @@ from celldiv.grid import (
     double_samples,
     half_samples,
     half_value,
+    linear_recurrence,
     make_grid,
     norm,
     read_csv,
@@ -147,7 +148,6 @@ def test_weight_kinds():
     x = grid.nodes
     np.testing.assert_allclose(WeightSpec.unit().on(grid), np.ones_like(x))
     np.testing.assert_allclose(WeightSpec.poly(3).on(grid), x ** 3)
-    np.testing.assert_allclose(WeightSpec.exponential(-1.5).on(grid), np.exp(-1.5 * x))
     data = GridFunction(grid, x + 1.0)
     np.testing.assert_allclose(WeightSpec.squared_data(data).on(grid), (x + 1.0) ** 2)
     with pytest.raises(ValueError):
@@ -203,3 +203,17 @@ def test_csv_rejects_nonzero_origin(tmp_path):
     path.write_text("\n".join(rows) + "\n")
     with pytest.raises(ValueError, match="start at 0"):
         read_csv(path)
+
+
+@pytest.mark.parametrize("c", [0.0, 0.5, 0.99993])
+@pytest.mark.parametrize("size", [1, 2, 3, 1000])
+def test_linear_recurrence_matches_loop(c, size, rng):
+    s = rng.standard_normal(size)
+    x0 = -0.75
+    expected = np.empty(size)
+    prev = x0
+    for k in range(size):
+        prev = c * prev + s[k]
+        expected[k] = prev
+    got = linear_recurrence(c, s, x0)
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))

@@ -2,17 +2,20 @@ import numpy as np
 import pytest
 
 from celldiv.direct import constant_b_series
-from celldiv.grid import GridFunction, make_grid, norm
+from celldiv.grid import GridFunction, half_sample_values, make_grid, norm
 from celldiv.harness import add_noise, default_filters
 from celldiv.inverse import (
+    _march,
     clamp_observation,
     estimate_lambda0,
+    exact_product_source,
     rate_error_on_support,
     recover_rate,
     solve_regularized_general,
     weak_stability_check,
     weighted_product_error,
 )
+from celldiv.noise import perturbed
 
 
 @pytest.fixture(scope="module")
@@ -200,3 +203,36 @@ def test_noisy_recovery_error_consistent_with_rate_theory(grid12, unit_series):
         obs = add_noise(unit_series, eps, seed, lambda0=1.0)
         errs.append(weighted_product_error(recover_rate(obs, alpha), truth))
     assert np.mean(errs) <= 10.0 * np.sqrt(eps)
+
+
+def _march_loop(F, alpha, h):
+    """Per-node reference for the implicit product marcher."""
+    n = F.size - 1
+    P = np.zeros(n + 1)
+    r = alpha / h
+    denom = r + 4.0
+    P[1] = F[1] / denom
+    for j in range(2, n + 1):
+        if j % 2 == 0:
+            half = P[j // 2]
+        else:
+            m = j // 2
+            half = 0.5 * (P[m] + P[m + 1])
+        P[j] = (r * P[j - 1] + half + F[j]) / denom
+    return P
+
+
+@pytest.mark.parametrize("n", [16, 17, 1024, 4096, 65536])
+def test_march_matches_per_node_loop(n):
+    grid = make_grid(12.0, n)
+    data = perturbed(constant_b_series(1.0, grid), 1e-3, seed=0)
+    half = half_sample_values(data.values)
+    quarter = half_sample_values(half)
+    fd_source = exact_product_source(data, 1.0)
+    for alpha in (1e-8, 1e-4, 3e-3, 1e-2, 0.3, 10.0):
+        dfree_source = (2.0 / alpha) * quarter + (1.0 - 8.0 / alpha) * half
+        for F in (fd_source, dfree_source):
+            expected = _march_loop(F, alpha, grid.spacing)
+            got = _march(F, alpha, grid.spacing)
+            assert got[0] == 0.0
+            assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected)), alpha

@@ -10,6 +10,7 @@ from celldiv.toy import (
     toy_solve,
     toy_study,
 )
+from celldiv.noise import perturbed
 
 
 @pytest.fixture(scope="module")
@@ -181,3 +182,27 @@ def test_study_noise_free_row(square_problem):
     assert row.bound == 0.0
     assert row.passed
     assert report.slope is None
+
+
+def _toy_loop(v, weight, alpha, h):
+    """Per-node reference for the stabilized toy marcher."""
+    w = np.empty_like(v)
+    w[0] = 0.0
+    scale = alpha / (alpha + h)
+    gain = 1.0 / (alpha + h)
+    dv = np.diff(v)
+    for j in range(v.size - 1):
+        w[j + 1] = scale * w[j] + gain * dv[j]
+    return w / weight
+
+
+@pytest.mark.parametrize("n", [16, 17, 1024, 4096, 65536])
+def test_toy_solve_matches_per_node_loop(n):
+    grid = make_grid(1.0, n)
+    x = grid.nodes
+    p = ToyProblem(GridFunction(grid, 1.0 + x), GridFunction(grid, x ** 2))
+    for alpha in (1e-8, 1e-4, 3e-3, 1e-2, 0.3, 10.0):
+        for data in (p.data, perturbed(p.data, 1e-3, seed=1)):
+            expected = _toy_loop(data.values, p.weight.values, alpha, grid.spacing)
+            got = toy_solve(p, alpha, data=data).values
+            assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected)), alpha
