@@ -8,15 +8,15 @@ where B is the size-dependent division rate. The adjoint profile phi solves
 
     phi'(x) - (lambda0 + B(x)) phi(x) = -2 B(x) phi(x/2),   int phi N = 1.
 
-Both are computed by renormalized power iteration on the corresponding
-evolution semigroups. The time step equals the mesh width (unit CFL), so
-the transport part of each step is an exact node shift; the reaction and
-argument-doubling terms are averaged between the foot and the head of the
-characteristic, which makes the converged fixed point the trapezoidal
-collocation of the stationary equation (second-order accurate). A running
-eigenvalue shift keeps the collocation consistent: the growth rate is
-accumulated from the per-step renormalization factors and converges
-together with the profile.
+N is the trapezoidal collocation of the stationary equation (second-order
+accurate). With lambda fixed, the collocation is marched from right to
+left: every dyadic block of nodes reads its doubled arguments from nodes
+already solved, so each block is one first-order linear recurrence, and
+lambda0 is the root of the shooting residual N_lambda(0) = 0. That makes
+the direct solve O(n log n) per root iteration. The adjoint profile is
+computed by renormalized power iteration on the backward evolution
+semigroup at unit CFL: each step is an exact node shift with the
+reaction and half-argument terms averaged along the characteristic.
 
 For constant B = b there is a closed-form Dirichlet series solution which
 serves as an independent oracle for everything else in this module.
@@ -34,6 +34,7 @@ from .grid import (
     derivative,
     double_sample_values,
     half_sample_values,
+    linear_recurrence,
     norm,
     trapezoid,
 )
@@ -54,12 +55,6 @@ __all__ = [
     "constant_b_series",
     "check_invariants",
 ]
-
-# Iterates may dip slightly negative while the initial transient washes
-# out; those values are clipped. Anything past this fraction of the peak
-# signals a genuinely unstable step.
-_NEGATIVITY_FRACTION = 0.05
-
 
 @dataclass(frozen=True)
 class RateBounds:
@@ -155,9 +150,10 @@ def bump_rate(grid: Grid, base: float, amplitude: float, center: float, width: f
 class EigenPair:
     """Converged eigen-elements with residual and iteration metadata.
 
-    ``lambda0`` is the growth rate accumulated from the renormalization
-    factors; ``lambda0_quad`` is the independent quadrature estimate
-    int B N dx, kept for cross-validation of the discretization error.
+    ``lambda0`` is the root of the shooting residual; ``lambda0_quad`` is
+    the independent quadrature estimate int B N dx, kept for
+    cross-validation of the discretization error. ``iterations`` counts
+    the marches of the root search.
     ``phi`` is filled by :func:`solve_adjoint` (None until then) and
     ``phi_growth`` records the sublinearity witness sup phi / (1 + x).
     """
@@ -178,10 +174,57 @@ class EigenPair:
         )
 
 
-def _default_start(grid: Grid, scale: float) -> np.ndarray:
-    x = grid.nodes
-    v = x * np.exp(-scale * x)
-    return v / trapezoid(v, grid)
+# Largest growth factor of one march chunk, and the running peak past which
+# the solved tail is rescaled: every partial product and value of the march
+# stays below about its square, far inside the double range.
+_GROWTH_LIMIT = 1e100
+# The discrete growth rate may leave the continuous bounds [b_min, b_max]
+# by the discretization error; the cold bracket is widened by this fraction.
+_BRACKET_WIDENING = 1e-2
+# Half-width of a warm-start bracket, relative to b_max, and its growth
+# factor per expansion.
+_WARM_HALF_WIDTH = 1e-3
+_EXPANSION = 8.0
+# Clipping budget for the converged profile: the roots of the shooting
+# residual other than the Perron one change sign on (0, L].
+_SIGN_TOLERANCE = 1e-10
+
+
+def _shoot(B: np.ndarray, h: float, lam: float) -> np.ndarray:
+    """Right-to-left march of the trapezoidal collocation at a fixed ``lam``.
+
+    Starts from ``v[n] = 1`` and solves every equation
+    ``v[k] - v[k-1] = h/2 (G[k] + G[k-1])`` for ``v[k-1]``, with
+    ``G = 4 B(2x) v(2x) - (B + lam) v``. Once the nodes from ``m`` up are
+    known, the doubled-argument reads of nodes ``ceil(m/2) .. m-1`` only
+    touch known nodes, so each such dyadic block is one linear recurrence
+    with coefficients ``a_k > 1``; blocks are cut into chunks of bounded
+    growth and the solved tail is rescaled when it grows large. The
+    doubled-argument read of node 0 is its boundary value 0, so ``v[0]`` is
+    the shooting residual. Returns ``v`` scaled to ``max |v| = 1``.
+    """
+    n = B.size - 1
+    half = 0.5 * h * (B + lam)
+    den = 1.0 - half[:-1]
+    A = (1.0 + half[1:]) / den  # v[j] = A[j] v[j+1] + S[j]
+    coef = -2.0 * h / den
+    chunk = max(1, int(np.log(_GROWTH_LIMIT) / np.log(A.max())))
+    v = np.zeros(n + 1)
+    v[n] = peak = 1.0
+    m = n
+    while m > 0:
+        lo = max((m + 1) // 2 if m > 1 else 0, m - chunk)
+        dbl = B[2 * lo : 2 * m + 1 : 2] * v[2 * lo : 2 * m + 1 : 2]
+        D = np.zeros(m - lo + 1)  # B(2x) v(2x) at nodes lo..m, zero past L
+        D[: dbl.size] = dbl
+        S = coef[lo:m] * (D[1:] + D[:-1])
+        v[lo:m] = linear_recurrence(A[lo:m][::-1], S[::-1], v[m])[::-1]
+        peak = max(peak, float(np.abs(v[lo:m]).max()))
+        if peak > _GROWTH_LIMIT:
+            v[lo:] /= peak
+            peak = 1.0
+        m = lo
+    return v / peak
 
 
 def solve_direct(
@@ -191,13 +234,17 @@ def solve_direct(
     max_iters: int = 500_000,
     init: GridFunction | None = None,
 ) -> EigenPair:
-    """Stable size distribution and growth rate by renormalized upwind stepping.
+    """Stable size distribution and growth rate by dyadic shooting.
 
-    Converges when the L1 distance between successive renormalized iterates
-    and the residual mass drift both fall below ``tol`` times the step
-    size. The adjoint slot of the returned pair is left empty. Raises if
-    the limit is not reached within ``max_iters`` or if an iterate develops
-    negative values beyond the transient-clipping budget.
+    ``lambda0`` is the root of the shooting residual ``v[0] / max |v|`` of
+    :func:`_shoot`, found by Brent's method on a bracket that shrinks to
+    ``tol`` times the step size; ``N`` is the march at that root,
+    normalized to unit mass. The bracket starts from the rate bounds,
+    widened slightly, or around ``int B init / int init`` when an initial
+    profile is given, expanding up to the widened bounds. ``iterations``
+    counts marches. Raises if ``max_iters`` marches do not suffice, if the
+    bracket holds no sign change, or if the profile changes sign (a
+    non-Perron root). The adjoint slot of the returned pair is left empty.
     """
     if grid is None:
         grid = rate.grid
@@ -207,48 +254,94 @@ def solve_direct(
         raise ValueError("tolerance must be positive")
     B = rate.values
     h = grid.spacing
-    n = grid.intervals
-    half_n = n // 2 + 1
+    lam_lo = rate.b_min * (1.0 - _BRACKET_WIDENING)
+    lam_hi = rate.b_max * (1.0 + _BRACKET_WIDENING)
+    if 0.5 * h * (rate.b_max + lam_hi) >= 1.0:
+        raise ValueError("grid too coarse for the rate: need h (b_max + lambda0) < 2")
 
     if init is None:
-        v = _default_start(grid, float(np.mean(B)))
+        center, width = 0.5 * (lam_lo + lam_hi), np.inf
     else:
-        v = np.array(init.values, dtype=float)
-        if v.min() < 0.0 or trapezoid(v, grid) <= 0.0:
+        v = np.asarray(init.values, dtype=float)
+        mass = trapezoid(v, grid)
+        if v.min() < 0.0 or mass <= 0.0:
             raise ValueError("initial iterate must be nonnegative with positive mass")
-        v[0] = 0.0
-        v = v / trapezoid(v, grid)
+        center = min(max(trapezoid(B * v, grid) / mass, lam_lo), lam_hi)
+        width = _WARM_HALF_WIDTH * rate.b_max
 
-    lam = trapezoid(B * v, grid)
-    dbl = np.zeros_like(v)
-    w = np.empty_like(v)
-    threshold = tol * h
-    for iteration in range(1, max_iters + 1):
-        Bv = B * v
-        dbl[:half_n] = Bv[::2]
-        G = 4.0 * dbl - (B + lam) * v
-        w[0] = 0.0
-        w[1:] = v[:-1] + 0.5 * h * (G[1:] + G[:-1])
-        peak = w.max()
-        if not np.isfinite(peak) or peak <= 0.0:
-            raise RuntimeError("power iteration lost positivity")
-        if w.min() < -_NEGATIVITY_FRACTION * peak:
-            raise RuntimeError("upwind step produced negative values beyond tolerance")
-        np.maximum(w, 0.0, out=w)
-        rho = trapezoid(w, grid)
-        w /= rho
-        diff = trapezoid(np.abs(w - v), grid)
-        v, w = w, v
-        lam += (rho - 1.0) / h
-        if diff <= threshold and abs(rho - 1.0) <= threshold:
+    marches = 0
+
+    def residual(lam: float) -> tuple[float, float, np.ndarray]:
+        nonlocal marches
+        if marches >= max_iters:
+            raise RuntimeError(f"direct solve did not converge in {max_iters} iterations")
+        marches += 1
+        v = _shoot(B, h, lam)
+        return lam, float(v[0]), v
+
+    while True:
+        lo = residual(max(center - width, lam_lo))
+        hi = residual(min(center + width, lam_hi))
+        if lo[1] * hi[1] <= 0.0:
             break
-    else:
-        raise RuntimeError(f"direct solve did not converge in {max_iters} iterations")
+        if lo[0] == lam_lo and hi[0] == lam_hi:
+            raise RuntimeError(
+                f"shooting residual has no sign change on [{lam_lo:.6g}, {lam_hi:.6g}]"
+            )
+        width *= _EXPANSION
+    lam, _, v = _brent(residual, lo, hi, tol * h)
 
+    if v[1:].min() < -_SIGN_TOLERANCE:
+        raise RuntimeError("direct solve found a non-Perron root: the profile changes sign")
+    v = np.maximum(v, 0.0)
+    v[0] = 0.0
+    v /= trapezoid(v, grid)
     N = GridFunction(grid, v)
     lam_quad = trapezoid(B * v, grid)
     res = _direct_residual(N, B, lam)
-    return EigenPair(lam, N, None, res, None, iteration, lambda0_quad=lam_quad)
+    return EigenPair(lam, N, None, res, None, marches, lambda0_quad=lam_quad)
+
+
+def _brent(f, a, b, xtol: float):
+    """Brent's safeguarded root finder (zeroin) on a sign-changing bracket.
+
+    Points are tuples ``(x, f(x), payload)`` as returned by ``f``. Returns
+    the point of smaller residual once the bracket around the root is at
+    most ``xtol`` (plus a few ulps of the root) wide, or once the residual
+    vanishes exactly.
+    """
+    eps = np.finfo(float).eps
+    c = a
+    d = e = b[0] - a[0]
+    while True:
+        if abs(c[1]) < abs(b[1]):
+            a, b, c = b, c, b
+        tol1 = 2.0 * eps * abs(b[0]) + 0.5 * xtol
+        xm = 0.5 * (c[0] - b[0])
+        if abs(xm) <= tol1 or b[1] == 0.0:
+            return b
+        if abs(e) >= tol1 and abs(a[1]) > abs(b[1]):
+            s = b[1] / a[1]
+            if a[0] == c[0]:  # secant
+                p, q = 2.0 * xm * s, 1.0 - s
+            else:  # inverse quadratic interpolation
+                q, r = a[1] / c[1], b[1] / c[1]
+                p = s * (2.0 * xm * q * (q - r) - (b[0] - a[0]) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * xm * q - abs(tol1 * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = xm
+        else:
+            d = e = xm
+        a = b
+        b = f(b[0] + (d if abs(d) > tol1 else np.copysign(tol1, xm)))
+        if (b[1] > 0.0) == (c[1] > 0.0):
+            c = a
+            d = e = b[0] - a[0]
 
 
 def _direct_residual(N: GridFunction, B: np.ndarray, lam: float) -> float:

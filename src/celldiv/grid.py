@@ -15,8 +15,9 @@ Two sampling rules recur throughout and are kept consistent on purpose:
 
 Quadrature is the trapezoid rule, matching the piecewise-linear
 interpolation order. Derivatives are centered differences with one-sided
-second-order stencils at the two boundary nodes. The implicit marchers of
-the toy and inverse problems share one first-order linear recurrence.
+second-order stencils at the two boundary nodes. The shooting march of the
+direct eigenproblem and the implicit marchers of the toy and inverse
+problems share one first-order linear recurrence.
 """
 
 from __future__ import annotations
@@ -217,20 +218,29 @@ def double_samples(f: GridFunction) -> GridFunction:
     return f.with_values(double_sample_values(f.values))
 
 
-def linear_recurrence(c: float, s: np.ndarray, x0: float = 0.0) -> np.ndarray:
-    """All of ``x_k = c x_{k-1} + s_k`` with ``x_{-1} = x0``, for ``0 <= c < 1``.
+def linear_recurrence(c, s: np.ndarray, x0: float = 0.0) -> np.ndarray:
+    """All of ``x_k = c_k x_{k-1} + s_k`` with ``x_{-1} = x0``.
 
-    Recursive doubling: after the pass at distance ``d`` every entry sums
-    the last ``2 d`` sources, so ``log2(len(s))`` vector passes suffice, and
-    fewer once ``c**d`` underflows to zero.
+    ``c`` is a constant ``0 <= c < 1`` or one nonnegative coefficient per
+    step; with per-step coefficients the caller keeps every partial
+    product finite. Recursive doubling: after the pass at distance ``d``
+    every entry sums the last ``2 d`` sources, weighted by the running
+    products ``p_k = c_k ... c_{k-d+1}``, so ``log2(len(s))`` vector passes
+    suffice, and fewer once a constant's power ``c**d`` underflows to zero.
     """
     x = np.array(s, dtype=float)
-    x[0] += c * x0
-    d, p = 1, float(c)
-    while p > 0.0 and d < x.size:
-        x[d:] += p * x[:-d]
+    per_step = np.ndim(c) > 0
+    p = np.array(c, dtype=float) if per_step else float(c)
+    x[0] += (p[0] if per_step else p) * x0
+    d = 1
+    while d < x.size and (per_step or p > 0.0):
+        if per_step:
+            x[d:] += p[d:] * x[:-d]
+            p[d:] *= p[:-d]
+        else:
+            x[d:] += p * x[:-d]
+            p *= p
         d *= 2
-        p *= p
     return x
 
 

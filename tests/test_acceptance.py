@@ -32,8 +32,10 @@ from celldiv.inverse import (
 )
 from celldiv.toy import ToyProblem, toy_solve, toy_study
 
-# Relative balance gaps below this level sit at the eigensolver iteration
-# floor and cannot improve under grid refinement.
+# Relative balance gaps below this level sit at the discrete solvability
+# residual int phi dR of the separately discretized adjoint (about 1.5e-10
+# for the linear probe, the same at n=4096 and n=8192) and cannot improve
+# under grid refinement.
 GRE_FLOOR = 1e-8
 
 
@@ -73,6 +75,7 @@ def test_criterion_2_eigen_invariant_suite(grid12):
     min_slack = np.inf
     for rate in rates:
         pair = solve_pair(rate, tol=1e-10)
+        assert pair.iterations <= 64  # root iterations; unit-CFL stepping needs thousands
         report = check_invariants(pair, rate, tol_eq=1e-4)
         assert report.passed, report.lines()
         for name in ("f1", "f2"):

@@ -30,6 +30,23 @@ def test_direct_subcommand(tmp_path):
     assert meta["phi_growth"] is None
 
 
+def test_direct_max_iters_caps_root_iterations(tmp_path):
+    out = tmp_path / "profile.csv"
+    with pytest.raises(RuntimeError, match="converge"):
+        main(["direct", "--bspec", "constant:1.0", "--grid-n", "512", "--max-iters", "2",
+              "--output", str(out)])
+
+
+def test_direct_tol_sets_root_iterations(tmp_path):
+    iterations = {}
+    for tol in ("1e-3", "1e-12"):
+        out = tmp_path / f"profile{tol}.csv"
+        main(["direct", "--bspec", "constant:1.0", "--grid-n", "512", "--tol", tol,
+              "--output", str(out)])
+        iterations[tol] = json.loads(out.with_suffix(".meta.json").read_text())["iterations"]
+    assert iterations["1e-3"] < iterations["1e-12"]
+
+
 def test_adjoint_subcommand(tmp_path):
     out = tmp_path / "adjoint.csv"
     code = main(

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import celldiv.direct
 from celldiv.direct import (
     adjoint_residual,
     bump_rate,
@@ -12,6 +13,56 @@ from celldiv.direct import (
     solve_pair,
 )
 from celldiv.grid import GridFunction, derivative, make_grid, norm, trapezoid
+
+
+def _power_iteration(rate, tol, max_iters=500_000):
+    """Reference oracle: renormalized upwind stepping at unit CFL.
+
+    The transport part of each step is an exact node shift and the
+    reaction and doubled-argument terms are averaged between the foot and
+    the head of the characteristic, so the fixed point is the trapezoidal
+    collocation that the shooting solve marches; the growth rate is
+    accumulated from the per-step renormalization factors. About 1.7 n
+    steps, each O(n). Returns (lambda0, N values).
+    """
+    grid = rate.grid
+    B = rate.values
+    h = grid.spacing
+    half_n = grid.intervals // 2 + 1
+    x = grid.nodes
+    v = x * np.exp(-float(np.mean(B)) * x)
+    v = v / trapezoid(v, grid)
+    lam = trapezoid(B * v, grid)
+    dbl = np.zeros_like(v)
+    w = np.empty_like(v)
+    threshold = tol * h
+    for _ in range(max_iters):
+        Bv = B * v
+        dbl[:half_n] = Bv[::2]
+        G = 4.0 * dbl - (B + lam) * v
+        w[0] = 0.0
+        w[1:] = v[:-1] + 0.5 * h * (G[1:] + G[:-1])
+        peak = w.max()
+        assert np.isfinite(peak) and peak > 0.0
+        assert w.min() >= -0.05 * peak
+        np.maximum(w, 0.0, out=w)
+        rho = trapezoid(w, grid)
+        w /= rho
+        diff = trapezoid(np.abs(w - v), grid)
+        v, w = w, v
+        lam += (rho - 1.0) / h
+        if diff <= threshold and abs(rho - 1.0) <= threshold:
+            return lam, v
+    raise AssertionError("power iteration did not converge")
+
+
+ACCEPTANCE_RATES = {
+    "constant-1": lambda g: constant_rate(g, 1.0),
+    "constant-2": lambda g: constant_rate(g, 2.0),
+    "step-up": lambda g: piecewise_rate(g, [0.0, 3.0], [1.0, 2.0]),
+    "step-down": lambda g: piecewise_rate(g, [0.0, 4.5], [2.0, 1.0]),
+    "bump": lambda g: bump_rate(g, 1.0, 0.4, 2.0, 1.5),
+}
 
 
 def test_rate_bounds_guard():
@@ -184,3 +235,70 @@ def test_invariant_report_lines(unit_pair, unit_rate):
     lines = report.lines()
     assert any(line.startswith("f1:") for line in lines)
     assert all("FAIL" not in line for line in lines)
+
+
+@pytest.mark.parametrize("name", ACCEPTANCE_RATES)
+@pytest.mark.parametrize("n", [1024, 4096])
+def test_shooting_matches_power_iteration(name, n):
+    grid = make_grid(12.0, n)
+    rate = ACCEPTANCE_RATES[name](grid)
+    lam, v = _power_iteration(rate, tol=1e-11)
+    pair = solve_direct(rate)
+    assert abs(pair.lambda0 - lam) <= 1e-10
+    assert norm(GridFunction(grid, pair.N.values - v), order="L1") <= 1e-10
+
+
+def test_warm_start_lands_on_cold_root():
+    grid = make_grid(12.0, 4096)
+    base = solve_direct(constant_rate(grid, 1.0))
+    perturbed = bump_rate(grid, 1.0, 0.15, 2.0, 2.0)
+    warm = solve_direct(perturbed, init=base.N)
+    cold = solve_direct(perturbed)
+    assert abs(warm.lambda0 - 1.0) > 1e-3  # the perturbation moves the root
+    assert abs(warm.lambda0 - cold.lambda0) <= 2e-9 * grid.spacing
+    assert norm(GridFunction(grid, warm.N.values - cold.N.values), order="L1") <= 1e-10
+
+
+def test_steep_rate_march_stays_finite():
+    # (lambda0 + B) L = 1600: the unscaled march would span e^1600
+    grid = make_grid(40.0, 16384)
+    pair = solve_direct(constant_rate(grid, 20.0))
+    assert abs(pair.lambda0 - 20.0) <= 1e-9
+    series = constant_b_series(20.0, grid)
+    assert norm(GridFunction(grid, pair.N.values - series.values), order="L1") <= 3e-3
+
+
+def test_direct_solve_rejects_coarse_grid():
+    with pytest.raises(ValueError, match="coarse"):
+        solve_direct(constant_rate(make_grid(12.0, 8), 1.0))
+
+
+def test_residual_without_sign_change_fails_loudly(monkeypatch):
+    monkeypatch.setattr(celldiv.direct, "_shoot", lambda B, h, lam: np.ones(B.size))
+    with pytest.raises(RuntimeError, match="no sign change"):
+        solve_direct(constant_rate(make_grid(12.0, 256), 1.0))
+
+
+def test_non_perron_root_fails_loudly(monkeypatch):
+    def shoot(B, h, lam):
+        v = np.ones(B.size)
+        v[0] = lam - 1.0
+        v[B.size // 2] = -0.5
+        return v
+
+    monkeypatch.setattr(celldiv.direct, "_shoot", shoot)
+    with pytest.raises(RuntimeError, match="non-Perron"):
+        solve_direct(constant_rate(make_grid(12.0, 256), 1.0))
+
+
+def test_unit_rate_refinement_ladder():
+    distances = []
+    for n in (1024, 2048, 4096, 8192, 16384, 32768, 65536):
+        grid = make_grid(12.0, n)
+        pair = solve_direct(constant_rate(grid, 1.0))
+        # the deviation of -2.6e-10 comes from truncating at L = 12, not from h
+        assert abs(pair.lambda0 - 1.0) <= 1e-9
+        series = constant_b_series(1.0, grid)
+        distances.append(norm(GridFunction(grid, pair.N.values - series.values), order="L1"))
+    ratios = np.array(distances[:-1]) / np.array(distances[1:])
+    assert ratios.min() >= 3.5, ratios

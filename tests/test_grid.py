@@ -205,15 +205,16 @@ def test_csv_rejects_nonzero_origin(tmp_path):
         read_csv(path)
 
 
-@pytest.mark.parametrize("c", [0.0, 0.5, 0.99993])
+@pytest.mark.parametrize("c", [0.0, 0.5, 0.99993, "per-step"])
 @pytest.mark.parametrize("size", [1, 2, 3, 1000])
 def test_linear_recurrence_matches_loop(c, size, rng):
     s = rng.standard_normal(size)
+    coef = rng.uniform(0.5, 1.5, size) if c == "per-step" else np.full(size, c)
     x0 = -0.75
     expected = np.empty(size)
     prev = x0
     for k in range(size):
-        prev = c * prev + s[k]
+        prev = coef[k] * prev + s[k]
         expected[k] = prev
-    got = linear_recurrence(c, s, x0)
+    got = linear_recurrence(coef if c == "per-step" else c, s, x0)
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
