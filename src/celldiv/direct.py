@@ -179,12 +179,8 @@ class EigenPair:
 # stays below about its square, far inside the double range.
 _GROWTH_LIMIT = 1e100
 # The discrete growth rate may leave the continuous bounds [b_min, b_max]
-# by the discretization error; the cold bracket is widened by this fraction.
+# by the discretization error; the bracket is widened by this fraction.
 _BRACKET_WIDENING = 1e-2
-# Half-width of a warm-start bracket, relative to b_max, and its growth
-# factor per expansion.
-_WARM_HALF_WIDTH = 1e-3
-_EXPANSION = 8.0
 # Clipping budget for the converged profile: the roots of the shooting
 # residual other than the Perron one change sign on (0, L].
 _SIGN_TOLERANCE = 1e-10
@@ -239,9 +235,9 @@ def solve_direct(
     ``lambda0`` is the root of the shooting residual ``v[0] / max |v|`` of
     :func:`_shoot`, found by Brent's method on a bracket that shrinks to
     ``tol`` times the step size; ``N`` is the march at that root,
-    normalized to unit mass. The bracket starts from the rate bounds,
-    widened slightly, or around ``int B init / int init`` when an initial
-    profile is given, expanding up to the widened bounds. ``iterations``
+    normalized to unit mass. The bracket is the rate bounds, widened
+    slightly. An initial profile ``init`` is checked but does not seed the
+    bracket, which would save under one march per solve. ``iterations``
     counts marches. Raises if ``max_iters`` marches do not suffice, if the
     bracket holds no sign change, or if the profile changes sign (a
     non-Perron root). The adjoint slot of the returned pair is left empty.
@@ -257,17 +253,15 @@ def solve_direct(
     lam_lo = rate.b_min * (1.0 - _BRACKET_WIDENING)
     lam_hi = rate.b_max * (1.0 + _BRACKET_WIDENING)
     if 0.5 * h * (rate.b_max + lam_hi) >= 1.0:
-        raise ValueError("grid too coarse for the rate: need h (b_max + lambda0) < 2")
+        raise ValueError(
+            "grid too coarse for the rate: need h (b_max + lam_hi) < 2, "
+            f"lam_hi = {1.0 + _BRACKET_WIDENING:g} b_max"
+        )
 
-    if init is None:
-        center, width = 0.5 * (lam_lo + lam_hi), np.inf
-    else:
+    if init is not None:
         v = np.asarray(init.values, dtype=float)
-        mass = trapezoid(v, grid)
-        if v.min() < 0.0 or mass <= 0.0:
+        if v.min() < 0.0 or trapezoid(v, grid) <= 0.0:
             raise ValueError("initial iterate must be nonnegative with positive mass")
-        center = min(max(trapezoid(B * v, grid) / mass, lam_lo), lam_hi)
-        width = _WARM_HALF_WIDTH * rate.b_max
 
     marches = 0
 
@@ -279,16 +273,9 @@ def solve_direct(
         v = _shoot(B, h, lam)
         return lam, float(v[0]), v
 
-    while True:
-        lo = residual(max(center - width, lam_lo))
-        hi = residual(min(center + width, lam_hi))
-        if lo[1] * hi[1] <= 0.0:
-            break
-        if lo[0] == lam_lo and hi[0] == lam_hi:
-            raise RuntimeError(
-                f"shooting residual has no sign change on [{lam_lo:.6g}, {lam_hi:.6g}]"
-            )
-        width *= _EXPANSION
+    lo, hi = residual(lam_lo), residual(lam_hi)
+    if lo[1] * hi[1] > 0.0:
+        raise RuntimeError(f"shooting residual has no sign change on [{lam_lo:.6g}, {lam_hi:.6g}]")
     lam, _, v = _brent(residual, lo, hi, tol * h)
 
     if v[1:].min() < -_SIGN_TOLERANCE:
@@ -414,8 +401,12 @@ def solve_pair(
     tol: float = 1e-9,
     max_iters: int = 500_000,
 ) -> EigenPair:
-    """Direct solve followed by the adjoint, sharing one eigenvalue."""
-    pair = solve_direct(rate, tol=tol, max_iters=max_iters)
+    """Direct solve followed by the adjoint, sharing one eigenvalue.
+
+    ``max_iters`` caps the adjoint's power steps; the direct root search is
+    bounded by its bracket and is not capped.
+    """
+    pair = solve_direct(rate, tol=tol)
     phi = solve_adjoint(rate, pair.lambda0, pair.N, tol=tol, max_iters=max_iters)
     res = adjoint_residual(phi, rate, pair.lambda0)
     growth_witness = float(np.max(phi.values / (1.0 + rate.grid.nodes)))

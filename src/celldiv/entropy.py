@@ -130,8 +130,7 @@ def build_perturbation(
     """Solve base and perturbed problems and assemble the difference data.
 
     The base eigen-elements may be passed in to amortize repeated studies
-    against one rate; they must then include the adjoint profile. The
-    perturbed solve is warm-started from the base profile.
+    against one rate; they must then include the adjoint profile.
     """
     grid = rate.grid
     if d_rate.grid != grid:
@@ -145,7 +144,7 @@ def build_perturbation(
     if perturbed_values.min() <= 0.0:
         raise ValueError("perturbed rate violates positivity")
     perturbed_rate = RateBounds.from_function(GridFunction(grid, perturbed_values))
-    perturbed = solve_direct(perturbed_rate, tol=tol, init=base.N)
+    perturbed = solve_direct(perturbed_rate, tol=tol)
 
     d_lambda = perturbed.lambda0 - base.lambda0
     d_n = GridFunction(grid, perturbed.N.values - base.N.values)

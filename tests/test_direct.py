@@ -269,8 +269,16 @@ def test_steep_rate_march_stays_finite():
 
 
 def test_direct_solve_rejects_coarse_grid():
-    with pytest.raises(ValueError, match="coarse"):
+    with pytest.raises(ValueError, match="coarse.*lam_hi"):
         solve_direct(constant_rate(make_grid(12.0, 8), 1.0))
+
+
+def test_pair_max_iters_caps_only_the_adjoint():
+    # Three steps suffice for neither solve on a bump (B = 1 would make
+    # phi = 1 exact at once): the cap must reach the adjoint's power steps
+    # and leave the direct root search alone.
+    with pytest.raises(RuntimeError, match="adjoint solve did not converge"):
+        solve_pair(bump_rate(make_grid(12.0, 256), 1.0, 0.4, 2.0, 1.5), max_iters=3)
 
 
 def test_residual_without_sign_change_fails_loudly(monkeypatch):
