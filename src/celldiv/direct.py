@@ -13,10 +13,10 @@ accurate). With lambda fixed, the collocation is marched from right to
 left: every dyadic block of nodes reads its doubled arguments from nodes
 already solved, so each block is one first-order linear recurrence, and
 lambda0 is the root of the shooting residual N_lambda(0) = 0. That makes
-the direct solve O(n log n) per root iteration. The adjoint profile is
-computed by renormalized power iteration on the backward evolution
-semigroup at unit CFL: each step is an exact node shift with the
-reaction and half-argument terms averaged along the characteristic.
+the direct solve O(n log n) per root iteration. The adjoint profile is the
+positive eigenvector of the unit-CFL downwind step (an exact node shift with
+the reaction and half-argument terms averaged along the characteristic),
+found by a few dozen right-to-left recurrence sweeps, each O(n log n).
 
 For constant B = b there is a closed-form Dirichlet series solution which
 serves as an independent oracle for everything else in this module.
@@ -344,15 +344,17 @@ def solve_adjoint(
     tol: float = 1e-9,
     max_iters: int = 500_000,
 ) -> GridFunction:
-    """Adjoint profile by renormalized downwind stepping, reusing ``lambda0``.
+    """Adjoint profile by right-to-left recurrence sweeps, reusing ``lambda0``.
 
-    The transport moves leftward, so each step is an exact left shift with
-    the source averaged along the characteristic; at the truncation
-    boundary the ghost value is held flat, which is exact for
-    asymptotically constant profiles and keeps the boundary mode damped.
-    Normalization int phi N = 1 is imposed every step; the pairing with N
-    also weights the convergence test, matching the topology in which the
-    adjoint problem is well posed.
+    ``phi`` is the positive eigenvector of the unit-CFL downwind step ``S``:
+    ``(S psi)_j = psi_{j+1} + h/2 (G_j + G_{j+1})`` with
+    ``G = 2 B psi(x/2) - (lambda0 + B) psi`` and a flat ghost value at the
+    truncation boundary. Each sweep lags the half-argument term, takes the
+    eigenvalue estimate ``mu = int (S psi) N`` from one step, solves
+    ``S psi = mu psi`` for the other terms as one linear recurrence with
+    coefficients in ``[0, 1)`` from the boundary row leftward, and
+    renormalizes to ``int psi N = 1``. The pairing with ``N`` also weights
+    the convergence test. ``max_iters`` caps the sweeps.
     """
     if grid is None:
         grid = rate.grid
@@ -361,19 +363,23 @@ def solve_adjoint(
     B = rate.values
     h = grid.spacing
     Nv = N.values
+    r = 0.5 * h * (lambda0 + B)
+    step = np.empty_like(Nv)
 
     psi = np.ones(grid.intervals + 1)
     psi /= trapezoid(psi * Nv, grid)
-    shifted = np.empty_like(psi)
-    g_shift = np.empty_like(psi)
     threshold = tol * h
     for _ in range(max_iters):
-        G = 2.0 * B * half_sample_values(psi) - (lambda0 + B) * psi
-        shifted[:-1] = psi[1:]
-        shifted[-1] = psi[-1]
-        g_shift[:-1] = G[1:]
-        g_shift[-1] = G[-1]
-        new = shifted + 0.5 * h * (G + g_shift)
+        BH = B * half_sample_values(psi)
+        G = 2.0 * BH - (lambda0 + B) * psi
+        step[:-1] = psi[1:] + 0.5 * h * (G[:-1] + G[1:])
+        step[-1] = psi[-1] + h * G[-1]
+        mu = trapezoid(step * Nv, grid)
+        den = mu + r[:-1]
+        new = np.empty_like(psi)
+        new[-1] = 2.0 * h * BH[-1] / (mu - 1.0 + 2.0 * r[-1])
+        coef = ((1.0 - r[1:]) / den)[::-1]
+        new[:-1] = linear_recurrence(coef, (h * (BH[:-1] + BH[1:]) / den)[::-1], new[-1])[::-1]
         c = trapezoid(new * Nv, grid)
         if not np.isfinite(c) or c <= 0.0:
             raise RuntimeError("adjoint iteration lost positivity of the pairing")
@@ -403,7 +409,7 @@ def solve_pair(
 ) -> EigenPair:
     """Direct solve followed by the adjoint, sharing one eigenvalue.
 
-    ``max_iters`` caps the adjoint's power steps; the direct root search is
+    ``max_iters`` caps the adjoint's sweeps; the direct root search is
     bounded by its bracket and is not capped.
     """
     pair = solve_direct(rate, tol=tol)

@@ -218,6 +218,9 @@ def double_samples(f: GridFunction) -> GridFunction:
     return f.with_values(double_sample_values(f.values))
 
 
+_TINY = float(np.finfo(float).tiny)  # smallest normal double
+
+
 def linear_recurrence(c, s: np.ndarray, x0: float = 0.0) -> np.ndarray:
     """All of ``x_k = c_k x_{k-1} + s_k`` with ``x_{-1} = x0``.
 
@@ -226,14 +229,15 @@ def linear_recurrence(c, s: np.ndarray, x0: float = 0.0) -> np.ndarray:
     product finite. Recursive doubling: after the pass at distance ``d``
     every entry sums the last ``2 d`` sources, weighted by the running
     products ``p_k = c_k ... c_{k-d+1}``, so ``log2(len(s))`` vector passes
-    suffice, and fewer once a constant's power ``c**d`` underflows to zero.
+    suffice, and fewer once a constant's power ``c**d`` drops below the
+    smallest normal double (later terms would be subnormal and slow).
     """
     x = np.array(s, dtype=float)
     per_step = np.ndim(c) > 0
     p = np.array(c, dtype=float) if per_step else float(c)
     x[0] += (p[0] if per_step else p) * x0
     d = 1
-    while d < x.size and (per_step or p > 0.0):
+    while d < x.size and (per_step or p >= _TINY):
         if per_step:
             x[d:] += p[d:] * x[:-d]
             p[d:] *= p[:-d]

@@ -63,6 +63,14 @@ def test_adjoint_subcommand(tmp_path):
     np.testing.assert_allclose(phi.values, 1.0, atol=1e-6)
 
 
+def test_adjoint_max_iters_caps_sweeps(tmp_path):
+    rate = tmp_path / "rate.txt"
+    rate.write_text("0,1\n3,2\n")
+    with pytest.raises(RuntimeError, match="adjoint solve did not converge"):
+        main(["adjoint", "--bspec", f"piecewise:{rate}", "--max-iters", "2",
+              "--output", str(tmp_path / "phi.csv")])
+
+
 def test_toy_subcommand(tmp_path):
     out = tmp_path / "toy.csv"
     code = main(

@@ -9,10 +9,11 @@ from celldiv.direct import (
     constant_b_series,
     constant_rate,
     piecewise_rate,
+    solve_adjoint,
     solve_direct,
     solve_pair,
 )
-from celldiv.grid import GridFunction, derivative, make_grid, norm, trapezoid
+from celldiv.grid import GridFunction, derivative, half_sample_values, make_grid, norm, trapezoid
 
 
 def _power_iteration(rate, tol, max_iters=500_000):
@@ -54,6 +55,39 @@ def _power_iteration(rate, tol, max_iters=500_000):
         if diff <= threshold and abs(rho - 1.0) <= threshold:
             return lam, v
     raise AssertionError("power iteration did not converge")
+
+
+def _adjoint_power_iteration(rate, lambda0, N, tol, max_iters=500_000):
+    """Reference oracle: renormalized downwind stepping at unit CFL.
+
+    Each step is an exact left shift with the reaction and half-argument
+    terms averaged along the characteristic and the ghost value held flat
+    at the truncation boundary; the fixed point is the eigenvector that
+    :func:`solve_adjoint` sweeps to. Thousands of O(n) steps at n = 4096.
+    Returns the values of phi, normalized to int phi N = 1.
+    """
+    grid = rate.grid
+    B = rate.values
+    h = grid.spacing
+    Nv = N.values
+    psi = np.ones(grid.intervals + 1)
+    psi /= trapezoid(psi * Nv, grid)
+    shifted = np.empty_like(psi)
+    g_shift = np.empty_like(psi)
+    for _ in range(max_iters):
+        G = 2.0 * B * half_sample_values(psi) - (lambda0 + B) * psi
+        shifted[:-1] = psi[1:]
+        shifted[-1] = psi[-1]
+        g_shift[:-1] = G[1:]
+        g_shift[-1] = G[-1]
+        new = shifted + 0.5 * h * (G + g_shift)
+        new /= trapezoid(new * Nv, grid)
+        assert new.min() > 0.0
+        diff = trapezoid(np.abs(new - psi) * Nv, grid)
+        psi = new
+        if diff <= tol * h:
+            return psi
+    raise AssertionError("adjoint power iteration did not converge")
 
 
 ACCEPTANCE_RATES = {
@@ -215,6 +249,35 @@ def test_adjoint_residual_refines_at_second_order():
     assert residuals[0] / residuals[1] >= 1.7
 
 
+@pytest.mark.parametrize("name", ACCEPTANCE_RATES)
+@pytest.mark.parametrize("n", [1024, 2048])
+def test_adjoint_sweeps_match_power_iteration(name, n):
+    grid = make_grid(12.0, n)
+    rate = ACCEPTANCE_RATES[name](grid)
+    pair = solve_direct(rate)
+    phi = solve_adjoint(rate, pair.lambda0, pair.N)
+    ref = _adjoint_power_iteration(rate, pair.lambda0, pair.N, tol=1e-11)
+    assert np.max(np.abs(phi.values - ref) / ref) <= 1e-8
+
+
+@pytest.mark.parametrize("name", ACCEPTANCE_RATES)
+def test_adjoint_converges_in_64_sweeps_at_n4096(name):
+    # unit-CFL stepping would need thousands of steps at n = 4096
+    rate = ACCEPTANCE_RATES[name](make_grid(12.0, 4096))
+    pair = solve_direct(rate)
+    phi = solve_adjoint(rate, pair.lambda0, pair.N, max_iters=64)
+    assert phi.values.min() > 0.0
+
+
+def test_adjoint_refinement_ladder():
+    residuals = []
+    for n in (1024, 2048, 4096, 8192, 16384, 32768, 65536):
+        pair = solve_pair(bump_rate(make_grid(12.0, n), 1.0, 0.4, 2.0, 1.5))
+        residuals.append(pair.residual_phi)
+    ratios = np.array(residuals[:-1]) / np.array(residuals[1:])
+    assert ratios.min() >= 3.5, ratios
+
+
 def test_check_invariants_unit_rate(unit_pair, unit_rate):
     report = check_invariants(unit_pair, unit_rate)
     assert report.passed, report.lines()
@@ -274,9 +337,10 @@ def test_direct_solve_rejects_coarse_grid():
 
 
 def test_pair_max_iters_caps_only_the_adjoint():
-    # Three steps suffice for neither solve on a bump (B = 1 would make
-    # phi = 1 exact at once): the cap must reach the adjoint's power steps
-    # and leave the direct root search alone.
+    # Three steps suffice for neither solve on a bump, whose adjoint takes
+    # about 30 sweeps at n = 256 (B = 1 would make phi = 1 exact at once):
+    # the cap must reach the adjoint's sweeps and leave the direct root
+    # search alone.
     with pytest.raises(RuntimeError, match="adjoint solve did not converge"):
         solve_pair(bump_rate(make_grid(12.0, 256), 1.0, 0.4, 2.0, 1.5), max_iters=3)
 

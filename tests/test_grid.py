@@ -205,8 +205,12 @@ def test_csv_rejects_nonzero_origin(tmp_path):
         read_csv(path)
 
 
-@pytest.mark.parametrize("c", [0.0, 0.5, 0.99993, "per-step"])
-@pytest.mark.parametrize("size", [1, 2, 3, 1000])
+@pytest.mark.parametrize(
+    ("size", "c"),
+    [(size, c) for size in (1, 2, 3, 1000) for c in (0.0, 0.5, 0.99993, "per-step")]
+    # 0.5**1024 is subnormal: the doubling must stop before multiplying by it
+    + [(1024, 0.5), (65536, 0.5)],
+)
 def test_linear_recurrence_matches_loop(c, size, rng):
     s = rng.standard_normal(size)
     coef = rng.uniform(0.5, 1.5, size) if c == "per-step" else np.full(size, c)
