@@ -208,7 +208,7 @@ def test_csv_rejects_nonzero_origin(tmp_path):
 @pytest.mark.parametrize(
     ("size", "c"),
     [(size, c) for size in (1, 2, 3, 1000) for c in (0.0, 0.5, 0.99993, "per-step")]
-    # 0.5**1024 is subnormal: the doubling must stop before multiplying by it
+    # 0.5**1024 is subnormal: stopping the doubling before it must lose nothing
     + [(1024, 0.5), (65536, 0.5)],
 )
 def test_linear_recurrence_matches_loop(c, size, rng):
