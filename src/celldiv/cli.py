@@ -156,6 +156,15 @@ def _cmd_toy(args) -> int:
     return 0 if all(r.passed for r in report.rows) else 3
 
 
+def _rate_table(nodes: np.ndarray, rate: np.ndarray, defined: np.ndarray) -> str:
+    """``x,B_recovered,defined_flag`` rows; the rate is left blank where undefined."""
+    rows = [
+        f"{x!r},{b!r},1" if ok else f"{x!r},,0"
+        for x, b, ok in zip(nodes.tolist(), rate.tolist(), defined.tolist())
+    ]
+    return "\n".join(["x,B_recovered,defined_flag", *rows, ""])
+
+
 def _cmd_invert(args) -> int:
     data = read_csv(args.data)
     grid = data.grid
@@ -176,10 +185,7 @@ def _cmd_invert(args) -> int:
     solve = inverse.recover_rate(obs, args.alpha, scheme)
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
-    lines = ["x,B_recovered,defined_flag"]
-    for x, b, ok in zip(grid.nodes, solve.rate, solve.defined):
-        lines.append(f"{float(x)!r},{'' if not ok else repr(float(b))},{int(ok)}")
-    out.write_text("\n".join(lines) + "\n")
+    out.write_text(_rate_table(grid.nodes, solve.rate, solve.defined))
     rep = solve.report
     diag = {
         "alpha": solve.alpha,

@@ -113,19 +113,18 @@ def piecewise_rate(grid: Grid, breakpoints, values) -> RateBounds:
         raise ValueError("breakpoints must start at 0 and increase")
     if vals.min() <= 0.0:
         raise ValueError("division rate must be strictly positive")
+    half = 0.5 * grid.spacing
+    lo = np.maximum(grid.nodes - half, 0.0)
+    hi = grid.nodes + half
+    first = np.searchsorted(bp, lo, side="right") - 1  # piece holding lo
+    last = np.searchsorted(bp, hi, side="left") - 1  # piece holding hi from the left
+    sampled = vals[first]
     edges = np.append(bp, np.inf)
-    h = grid.spacing
-
-    def cell_average(x: float) -> float:
-        lo, hi = max(x - 0.5 * h, 0.0), x + 0.5 * h
+    for j in np.flatnonzero(first != last):  # cells that contain a breakpoint
         total = 0.0
-        for a, b, v in zip(edges[:-1], edges[1:], vals):
-            left, right = max(lo, a), min(hi, b)
-            if right > left:
-                total += (right - left) * v
-        return total / (hi - lo)
-
-    sampled = np.array([cell_average(x) for x in grid.nodes])
+        for k in range(first[j], last[j] + 1):
+            total += (min(hi[j], edges[k + 1]) - max(lo[j], edges[k])) * vals[k]
+        sampled[j] = total / (hi[j] - lo[j])
     return RateBounds(GridFunction(grid, sampled), float(vals.min()), float(vals.max()))
 
 

@@ -22,6 +22,8 @@ problems share one first-order linear recurrence.
 
 from __future__ import annotations
 
+import io
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -174,20 +176,6 @@ def sobolev_norm(f: GridFunction) -> float:
     return float(np.sqrt(norm(f) ** 2 + seminorm(f, "H1") ** 2 + seminorm(f, "H2") ** 2))
 
 
-def half_value(f: GridFunction, j: int) -> float:
-    """Value of ``f`` at ``x_j / 2``: node read for even ``j``, linear
-    interpolation between nodes ``(j-1)/2`` and ``(j+1)/2`` for odd ``j``."""
-    n = f.grid.intervals
-    j = int(j)
-    if j < 0 or j > n:
-        raise IndexError(f"node index {j} outside 0..{n}")
-    v = f.values
-    if j % 2 == 0:
-        return float(v[j // 2])
-    m = j // 2
-    return float(0.5 * (v[m] + v[m + 1]))
-
-
 def half_sample_values(values: np.ndarray) -> np.ndarray:
     """All half-argument samples at once: ``out[j] = f(x_j / 2)``."""
     v = np.asarray(values, dtype=float)
@@ -199,11 +187,6 @@ def half_sample_values(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def half_samples(f: GridFunction) -> GridFunction:
-    """Grid function ``y -> f(y / 2)`` on the same grid."""
-    return f.with_values(half_sample_values(f.values))
-
-
 def double_sample_values(values: np.ndarray) -> np.ndarray:
     """All double-argument samples: ``out[j] = f(2 x_j)`` with zero beyond L."""
     v = np.asarray(values, dtype=float)
@@ -211,11 +194,6 @@ def double_sample_values(values: np.ndarray) -> np.ndarray:
     out = np.zeros_like(v)
     out[: n // 2 + 1] = v[::2]
     return out
-
-
-def double_samples(f: GridFunction) -> GridFunction:
-    """Grid function ``x -> f(2 x)`` on the same grid, zero past the boundary."""
-    return f.with_values(double_sample_values(f.values))
 
 
 _TINY = float(np.finfo(float).tiny)  # smallest normal double
@@ -249,34 +227,36 @@ def linear_recurrence(c, s: np.ndarray, x0: float = 0.0) -> np.ndarray:
 
 
 CSV_HEADER = "x,value"
+_BLANK_LINE = re.compile(r"\n[^\S\n]+(?=\n|\Z)")  # a line of whitespace only
+_LOADTXT = {"delimiter": ",", "comments": None, "ndmin": 2}  # np.loadtxt: skips empty lines
 
 
 def write_csv(f: GridFunction, path: str | Path) -> Path:
-    """Write the two-column node table ``x,value``."""
+    """Write the two-column node table ``x,value`` with shortest round-trip floats."""
     path = Path(path)
-    lines = [CSV_HEADER]
-    for x, v in zip(f.grid.nodes, f.values):
-        lines.append(f"{float(x)!r},{float(v)!r}")
-    path.write_text("\n".join(lines) + "\n")
+    rows = [f"{x!r},{v!r}" for x, v in zip(f.grid.nodes.tolist(), f.values.tolist())]
+    path.write_text("\n".join([CSV_HEADER, *rows, ""]))
     return path
 
 
 def read_csv(path: str | Path) -> GridFunction:
-    """Load a grid function, validating the uniform-grid contract."""
+    """Load a grid function, validating the uniform-grid contract: header
+    ``x,value``, then at least ``MIN_INTERVALS + 1`` rows of two numbers
+    whose abscissae start at 0 and are uniformly spaced; blank lines are skipped."""
     path = Path(path)
-    lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != CSV_HEADER:
+    head, _, body = path.read_text().lstrip().partition("\n")
+    if head.strip() != CSV_HEADER:
         raise ValueError(f"{path}: expected header {CSV_HEADER!r}")
-    rows = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"{path}: malformed row {ln!r}")
-        rows.append((float(parts[0]), float(parts[1])))
-    if len(rows) < MIN_INTERVALS + 1:
+    body = _BLANK_LINE.sub("\n", "\n" + body)
+    try:
+        table = np.loadtxt(io.StringIO(body), **_LOADTXT) if body.strip() else np.empty((0, 2))
+    except ValueError:
+        table = None
+    if table is None or table.shape[1] != 2:
+        raise ValueError(f"{path}: malformed row {_malformed_row(body)!r}")
+    if len(table) < MIN_INTERVALS + 1:
         raise ValueError(f"{path}: too few rows for a valid grid")
-    x = np.array([r[0] for r in rows])
-    v = np.array([r[1] for r in rows])
+    x, v = table[:, 0], table[:, 1]
     if abs(x[0]) > 1e-12 * max(1.0, abs(x[-1])):
         raise ValueError(f"{path}: grid must start at 0, got {x[0]}")
     steps = np.diff(x)
@@ -287,3 +267,14 @@ def read_csv(path: str | Path) -> GridFunction:
         raise ValueError(f"{path}: nodes do not form a uniform grid")
     grid = Grid(float(x[-1]), len(x) - 1)
     return GridFunction(grid, v)
+
+
+def _malformed_row(body: str) -> str | None:
+    """First non-blank row that is not two numbers, for the error message."""
+    for ln in body.splitlines():  # error path only
+        try:
+            if ln.strip() and np.loadtxt([ln], **_LOADTXT).shape != (1, 2):
+                return ln
+        except ValueError:
+            return ln
+    return None

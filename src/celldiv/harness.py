@@ -117,8 +117,11 @@ def parse_rate_spec(spec: str, grid: Grid) -> RateBounds:
             ln = ln.strip()
             if not ln or ln.startswith("#"):
                 continue
-            xs, vs = ln.split(",")
-            rows.append((float(xs), float(vs)))
+            try:
+                xs, vs = ln.split(",")
+                rows.append((float(xs), float(vs)))
+            except ValueError:
+                raise ValueError(f"{arg}: malformed piecewise line {ln!r}") from None
         if not rows:
             raise ValueError(f"{arg}: empty piecewise rate file")
         return piecewise_rate(grid, [r[0] for r in rows], [r[1] for r in rows])

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from celldiv.cli import main
+from celldiv.cli import _rate_table, main
 from celldiv.grid import read_csv
 
 
@@ -122,6 +122,31 @@ def test_invert_subcommand(tmp_path):
     diag = json.loads(out.with_suffix(".diag.json").read_text())
     assert diag["alpha"] == 0.01
     assert diag["scheme"] == "derivative-free"
+
+
+def rate_table_loop(nodes, rate, defined):
+    """Reference for the ``invert`` rows: one f-string per numpy scalar."""
+    lines = ["x,B_recovered,defined_flag"]
+    for x, b, ok in zip(nodes, rate, defined):
+        lines.append(f"{float(x)!r},{'' if not ok else repr(float(b))},{int(ok)}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n", [8, 65536])
+def test_rate_table_matches_loop(rng, n):
+    nodes = np.linspace(0.0, 12.0, n + 1)
+    rate = rng.standard_normal(n + 1) * np.logspace(-300, 300, n + 1)
+    rate[:3] = [-0.0, 0.0, 5e-324]
+    defined = rng.random(n + 1) < 0.7
+    defined[:3] = True
+    defined[3:5] = False
+    rate[~defined] = np.nan
+    got = _rate_table(nodes, rate, defined)
+    assert got == rate_table_loop(nodes, rate, defined)
+    x = nodes.tolist()
+    assert got.splitlines()[1:6] == [
+        "0.0,-0.0,1", f"{x[1]!r},0.0,1", f"{x[2]!r},5e-324,1", f"{x[3]!r},,0", f"{x[4]!r},,0"
+    ]
 
 
 def test_sweep_subcommand_with_config(tmp_path, monkeypatch):

@@ -117,6 +117,44 @@ def test_piecewise_rate_cell_average_at_jump():
     assert rate.b_min == 1.0 and rate.b_max == 2.0
 
 
+def piecewise_rate_loop(grid, breakpoints, values):
+    """Reference for :func:`piecewise_rate`: every node's cell average,
+    summed over all pieces."""
+    edges = np.append(np.asarray(breakpoints, dtype=float), np.inf)
+    h = grid.spacing
+
+    def cell_average(x):
+        lo, hi = max(x - 0.5 * h, 0.0), x + 0.5 * h
+        total = 0.0
+        for a, b, v in zip(edges[:-1], edges[1:], values):
+            left, right = max(lo, a), min(hi, b)
+            if right > left:
+                total += (right - left) * v
+        return total / (hi - lo)
+
+    return np.array([cell_average(x) for x in grid.nodes])
+
+
+PIECEWISE_CASES = {
+    # (breakpoints, values) on a grid of spacing h over [0, 12]; x = 3 is a node for every n below
+    "jump-on-node": lambda h: ([0.0, 3.0], [1.0, 2.0]),
+    "sub-cell-piece": lambda h: ([0.0, 2.0, 2.0 + 1e-5, 5.0], [0.7, 3.3, 0.9, 1.3]),
+    # the cell of node 5 ends exactly on the first jump, the next one starts on it
+    "edge-on-breakpoint": lambda h: ([0.0, 5.5 * h, 4.0 + 0.5 * h], [1.1, 0.6, 1.9]),
+    "five-pieces": lambda h: ([0.0, 1.1, 2.9, 4.45, 7.3], [0.3, 1.7, 0.45, 2.2, 0.9]),
+}
+
+
+@pytest.mark.parametrize("n", [64, 4096, 65536])
+@pytest.mark.parametrize("case", sorted(PIECEWISE_CASES))
+def test_piecewise_rate_matches_loop(case, n):
+    grid = make_grid(12.0, n)
+    breakpoints, values = PIECEWISE_CASES[case](grid.spacing)
+    got = piecewise_rate(grid, breakpoints, values).values
+    expected = piecewise_rate_loop(grid, breakpoints, values)
+    assert np.max(np.abs(got - expected) / expected) <= 4e-16
+
+
 def test_piecewise_rate_rejects_bad_breakpoints():
     grid = make_grid(4.0, 64)
     with pytest.raises(ValueError):

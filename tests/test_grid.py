@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,9 +7,8 @@ from celldiv.grid import (
     GridFunction,
     WeightSpec,
     derivative,
-    double_samples,
-    half_samples,
-    half_value,
+    double_sample_values,
+    half_sample_values,
     linear_recurrence,
     make_grid,
     norm,
@@ -16,6 +17,30 @@ from celldiv.grid import (
     trapezoid,
     write_csv,
 )
+
+
+def half_value(f, j):
+    """Reference for :func:`half_sample_values`: the value of ``f`` at ``x_j / 2``,
+    a node read for even ``j`` and linear interpolation between nodes
+    ``(j-1)/2`` and ``(j+1)/2`` for odd ``j``."""
+    n = f.grid.intervals
+    j = int(j)
+    if j < 0 or j > n:
+        raise IndexError(f"node index {j} outside 0..{n}")
+    v = f.values
+    if j % 2 == 0:
+        return float(v[j // 2])
+    m = j // 2
+    return float(0.5 * (v[m] + v[m + 1]))
+
+
+def write_csv_loop(f, path):
+    """Reference for :func:`write_csv`: one f-string per numpy scalar."""
+    lines = ["x,value"]
+    for x, v in zip(f.grid.nodes, f.values):
+        lines.append(f"{float(x)!r},{float(v)!r}")
+    path.write_text("\n".join(lines) + "\n")
+    return path
 
 
 def test_make_grid_rejects_low_resolution():
@@ -91,7 +116,7 @@ def test_half_value_index_range():
 def test_half_samples_matches_scalar(n):
     grid = make_grid(3.0, n)
     f = GridFunction(grid, np.sin(grid.nodes))
-    sampled = half_samples(f).values
+    sampled = half_sample_values(f.values)
     for j in range(n + 1):
         assert sampled[j] == pytest.approx(half_value(f, j), abs=1e-15)
 
@@ -100,7 +125,7 @@ def test_half_samples_matches_scalar(n):
 def test_double_samples(n):
     grid = make_grid(3.0, n)
     f = GridFunction(grid, np.cos(grid.nodes))
-    doubled = double_samples(f).values
+    doubled = double_sample_values(f.values)
     for j in range(n + 1):
         expected = f.values[2 * j] if 2 * j <= n else 0.0
         assert doubled[j] == expected
@@ -180,6 +205,84 @@ def test_csv_round_trip(tmp_path):
     g = read_csv(path)
     assert g.grid == f.grid
     np.testing.assert_array_equal(g.values, f.values)
+
+
+def test_csv_round_trip_is_bit_exact_at_65536(tmp_path, rng):
+    grid = make_grid(12.0, 65536)
+    values = np.exp(-grid.nodes) * (1.0 + 1e-3 * rng.standard_normal(grid.nodes.size))
+    values[1] = -0.0
+    values[2] = 5e-324  # smallest subnormal
+    f = GridFunction(grid, values)
+    g = read_csv(write_csv(f, tmp_path / "f.csv"))
+    assert g.grid == f.grid
+    np.testing.assert_array_equal(g.grid.nodes, grid.nodes)
+    assert g.values.tobytes() == f.values.tobytes()  # keeps the sign of -0.0
+
+
+@pytest.mark.parametrize("n", [8, 1000])
+def test_write_csv_matches_loop(tmp_path, rng, n):
+    grid = make_grid(12.0, n)
+    values = rng.standard_normal(n + 1) * np.logspace(-300, 300, n + 1)
+    values[:4] = [0.0, -0.0, 1e-310, 1.0 / 3.0]
+    f = GridFunction(grid, values)
+    got = write_csv(f, tmp_path / "fast.csv").read_bytes()
+    assert got == write_csv_loop(f, tmp_path / "loop.csv").read_bytes()
+
+
+def test_csv_skips_blank_lines(tmp_path):
+    rows = [f"{0.125 * i!r},{float(i)!r}" for i in range(9)]
+    path = tmp_path / "blank.csv"
+    path.write_text("\n  \nx,value\n" + "\n \t\n".join(rows) + "\n\n   ")
+    g = read_csv(path)
+    assert g.grid == make_grid(1.0, 8)
+    np.testing.assert_array_equal(g.values, np.arange(9.0))
+
+
+def _csv_with_row(tmp_path, k, row):
+    """Valid 9-row table on [0, 1] with row ``k`` replaced by ``row``."""
+    rows = [f"{0.125 * i!r},{float(i)!r}" for i in range(9)]
+    rows[k] = row
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(["x,value", *rows]) + "\n")
+    return path
+
+
+@pytest.mark.parametrize(
+    ("k", "row"),
+    [
+        (3, "0.375"),  # one field
+        (3, "0.375,3.0,1.0"),  # three fields
+        (0, "0.0,0.0,0.0"),  # three fields in the first row
+        (5, "0.625,abc"),  # non-numeric field
+        (5, "0.625,"),  # empty field
+    ],
+)
+def test_csv_rejects_malformed_row(tmp_path, k, row):
+    path = _csv_with_row(tmp_path, k, row)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: malformed row {re.escape(repr(row))}$"):
+        read_csv(path)
+
+
+def test_csv_rejects_single_column_table(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("x,value\n" + "".join(f"{0.125 * i}\n" for i in range(9)))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: malformed row '0.0'$"):
+        read_csv(path)
+
+
+@pytest.mark.parametrize("rows", [0, 1, 8])
+def test_csv_rejects_too_few_rows(tmp_path, rows):
+    path = tmp_path / "short.csv"
+    path.write_text("x,value\n" + "".join(f"{0.125 * i},{i}\n" for i in range(rows)))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: too few rows"):
+        read_csv(path)
+
+
+@pytest.mark.parametrize("row", ["0.25,3.0", "0.2,3.0"])  # repeated, then decreasing
+def test_csv_rejects_non_increasing_nodes(tmp_path, row):
+    path = _csv_with_row(tmp_path, 3, row)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: node abscissae must be strictly increasing"):
+        read_csv(path)
 
 
 def test_csv_rejects_nonuniform(tmp_path):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,14 @@ def test_config_validation():
     assert cfg.alpha_for(1e-4) == pytest.approx(1e-2)
     fixed = ExperimentConfig("constant:1.0", 12.0, 1024, (1e-3,), alpha_rule="fixed", alpha_c=0.05)
     assert fixed.alpha_for(1e-3) == 0.05
+
+
+@pytest.mark.parametrize("line", ["3,2,5", "3", "3,abc"])
+def test_parse_rate_spec_rejects_malformed_piecewise_line(tmp_path, line):
+    pw = tmp_path / "steps.csv"
+    pw.write_text(f"0.0,1.0\n{line}\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(pw))}: malformed piecewise line {re.escape(repr(line))}$"):
+        parse_rate_spec(f"piecewise:{pw}", make_grid(4.0, 64))
 
 
 def test_default_domain_length():
