@@ -28,6 +28,9 @@ from .grid import GridFunction, make_grid, read_csv, write_csv
 
 OUT_DIR_ENV = "CELLDIV_OUT_DIR"
 
+# Short scheme names of ``invert --scheme`` and the sweep's ``scheme`` key.
+_SCHEMES = {"fd": "direct-fd", "dfree": "derivative-free"}
+
 _CONFIG_KEYS = (
     "bspec",
     "grid.length",
@@ -181,8 +184,7 @@ def _cmd_invert(args) -> int:
         lower = read_csv(args.filter_lower)
     lam = None if args.lambda0 == "auto" else float(args.lambda0)
     obs = inverse.clamp_observation(data, (lower, upper), lambda0=lam)
-    scheme = {"fd": "direct-fd", "dfree": "derivative-free"}[args.scheme]
-    solve = inverse.recover_rate(obs, args.alpha, scheme)
+    solve = inverse.recover_rate(obs, args.alpha, _SCHEMES[args.scheme])
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(_rate_table(grid.nodes, solve.rate, solve.defined))
@@ -227,6 +229,7 @@ def _cmd_sweep(args, overrides: dict[str, str]) -> int:
     if missing:
         raise SystemExit(f"missing configuration keys: {missing}")
     out_dir = cfg.get("out.dir") or os.environ.get(OUT_DIR_ENV) or "."
+    scheme = cfg.get("scheme", "dfree")
     config = harness.ExperimentConfig(
         bspec=cfg["bspec"],
         grid_length=float(cfg.get("grid.length", 12.0)),
@@ -235,9 +238,7 @@ def _cmd_sweep(args, overrides: dict[str, str]) -> int:
         alpha_rule=cfg.get("alpha.rule", "sqrt"),
         alpha_c=float(cfg.get("alpha.c", 1.0)),
         seeds=int(cfg.get("seeds", 10)),
-        scheme={"fd": "direct-fd", "dfree": "derivative-free"}.get(
-            cfg.get("scheme", "dfree"), cfg.get("scheme", "derivative-free")
-        ),
+        scheme=_SCHEMES.get(scheme, scheme),
         out_dir=out_dir,
         formats=tuple(cfg.get("formats", "csv").split(",")),
         slope_min=float(cfg["slope.min"]) if "slope.min" in cfg else None,
@@ -276,7 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     for which, fn in (("gre", _cmd_gre), ("gap", _cmd_gap)):
         p = sub.add_parser(which, help=f"{which} study over random bump perturbations")
         _add_grid_flags(p)
-        p.add_argument("--probe", default="square,linear,pospart:0.1")
+        if which == "gre":
+            p.add_argument("--probe", default="square,linear,pospart:0.1")
         p.add_argument("--directions", type=int, default=10)
         p.add_argument("--amplitude", type=float, default=0.05)
         p.add_argument("--seed", type=int, default=0)
@@ -298,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--lambda0", default="auto")
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--scheme", choices=("fd", "dfree"), default="dfree")
+    p.add_argument("--scheme", choices=tuple(_SCHEMES), default="dfree")
     p.add_argument("--filter-upper", default="auto")
     p.add_argument("--filter-lower", default="zero")
     p.add_argument("--output", required=True)

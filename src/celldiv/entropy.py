@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .direct import EigenPair, RateBounds, bump_values, solve_direct, solve_pair
-from .grid import GridFunction, WeightSpec, double_sample_values, norm, trapezoid
+from .grid import GridFunction, double_sample_values, norm, trapezoid
 
 __all__ = [
     "ConvexProbe",
@@ -42,7 +42,6 @@ __all__ = [
     "GapSample",
     "GapReport",
     "build_perturbation",
-    "gre_balance",
     "gre_terms",
     "gap_study",
     "minimal_moment_exponent",
@@ -280,12 +279,6 @@ def _split_cell(probe, xi, h, u_ends, u2_ends, coef_ends, pr_ends):
     return h * lhs, h * rhs
 
 
-def gre_balance(pair: PerturbationPair, probe: ConvexProbe) -> tuple[float, float]:
-    """Dissipation side and residual side of the entropy balance."""
-    lhs, rhs, _ = gre_terms(pair, probe)
-    return lhs, rhs
-
-
 def minimal_moment_exponent(lambda0: float, b_max: float) -> int:
     """Smallest integer m with lambda0 strictly above b_max / 2^(m-1)."""
     m = 1
@@ -345,8 +338,7 @@ def gap_study(
     if base.lambda0 <= b_max_family / 2.0 ** (m - 1):
         raise ValueError(f"moment exponent {m} violates the gap side condition")
 
-    poly = WeightSpec.poly(m)
-    x_m = poly.on(grid)
+    x_m = grid.nodes ** m
     samples: list[GapSample] = []
     for d in directions:
         scaled = GridFunction(grid, amplitude * d.values)
@@ -372,18 +364,18 @@ def gap_study(
     return GapReport(m, samples, nu_hat, (worst.moment_lhs, 1.0 + worst.moment_rhs, constant))
 
 
-def random_bump_directions(
-    grid, count: int, seed: int,
-    center_range: tuple[float, float] = (0.5, 6.0),
-    width_range: tuple[float, float] = (0.4, 1.6),
-    signed: bool = True,
-) -> list[GridFunction]:
-    """Smooth compactly supported bump directions with unit peak height."""
+# Ranges of the random bump centres and widths.
+BUMP_CENTERS = (0.5, 6.0)
+BUMP_WIDTHS = (0.4, 1.6)
+
+
+def random_bump_directions(grid, count: int, seed: int) -> list[GridFunction]:
+    """Smooth compactly supported bump directions of either sign, unit peak height."""
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(count):
-        center = rng.uniform(*center_range)
-        width = rng.uniform(*width_range)
-        sign = rng.choice([-1.0, 1.0]) if signed else 1.0
+        center = rng.uniform(*BUMP_CENTERS)
+        width = rng.uniform(*BUMP_WIDTHS)
+        sign = rng.choice([-1.0, 1.0])
         out.append(GridFunction(grid, sign * bump_values(grid.nodes, center, width)))
     return out

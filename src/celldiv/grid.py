@@ -85,60 +85,15 @@ class GridFunction:
         return GridFunction(self.grid, values)
 
 
-@dataclass(frozen=True)
-class WeightSpec:
-    """Quadrature weight: one of ``unit``, ``poly`` (x^m) or ``squared-data``
-    (the square of a supplied grid function)."""
-
-    kind: str
-    parameter: float = 0.0
-    data: GridFunction | None = None
-
-    _KINDS = ("unit", "poly", "squared-data")
-
-    def __post_init__(self) -> None:
-        if self.kind not in self._KINDS:
-            raise ValueError(f"unknown weight kind {self.kind!r}")
-        if self.kind == "poly":
-            m = self.parameter
-            if m < 0 or m != int(m):
-                raise ValueError("poly weight exponent must be a nonnegative integer")
-        if self.kind == "squared-data" and self.data is None:
-            raise ValueError("squared-data weight needs a grid function")
-
-    @classmethod
-    def unit(cls) -> "WeightSpec":
-        return cls("unit")
-
-    @classmethod
-    def poly(cls, exponent: int) -> "WeightSpec":
-        return cls("poly", float(exponent))
-
-    @classmethod
-    def squared_data(cls, data: GridFunction) -> "WeightSpec":
-        return cls("squared-data", 0.0, data)
-
-    def on(self, grid: Grid) -> np.ndarray:
-        """Nodal weight values on ``grid``."""
-        x = grid.nodes
-        if self.kind == "unit":
-            return np.ones_like(x)
-        if self.kind == "poly":
-            return x ** int(self.parameter)
-        if self.data.grid is not grid and self.data.grid != grid:
-            raise ValueError("squared-data weight lives on a different grid")
-        return self.data.values ** 2
-
-
 def trapezoid(values: np.ndarray, grid: Grid) -> float:
     """Trapezoid quadrature of nodal values over [0, L]."""
     v = np.asarray(values, dtype=float)
     return grid.spacing * (0.5 * v[0] + v[1:-1].sum() + 0.5 * v[-1])
 
 
-def norm(f: GridFunction, weight: WeightSpec | None = None, order: str = "L2") -> float:
-    """Weighted L1 or L2 norm by trapezoid quadrature."""
-    w = np.ones_like(f.values) if weight is None else weight.on(f.grid)
+def norm(f: GridFunction, weight: np.ndarray | None = None, order: str = "L2") -> float:
+    """L1 or L2 norm by trapezoid quadrature, optionally with nodal weight values."""
+    w = 1.0 if weight is None else weight
     if order == "L1":
         return trapezoid(np.abs(f.values) * w, f.grid)
     if order == "L2":

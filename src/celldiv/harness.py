@@ -11,16 +11,16 @@ outputs are pure functions of the configuration and seeds.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .direct import EigenPair, RateBounds, check_invariants, piecewise_rate, solve_direct, solve_pair
+from .direct import RateBounds, check_invariants, piecewise_rate, solve_direct
+from .direct import solve_pair  # noqa: F401 (perfbench test_tracer_wraps_every_lookup_and_reports_absent_names)
 from .fitting import fit_loglog_slope
-from .grid import Grid, GridFunction, make_grid, read_csv, sobolev_norm, write_csv
+from .grid import Grid, GridFunction, make_grid, read_csv, sobolev_norm
 from .inverse import (
     NoisyObservation,
     clamp_observation,
@@ -38,7 +38,6 @@ __all__ = [
     "parse_rate_spec",
     "default_domain_length",
     "default_filters",
-    "synthesize",
     "add_noise",
     "convergence_study",
     "emit_report",
@@ -133,41 +132,6 @@ def parse_rate_spec(spec: str, grid: Grid) -> RateBounds:
     raise ValueError(f"unknown rate spec {spec!r}")
 
 
-def synthesize(
-    bspec: str | RateBounds,
-    grid: Grid,
-    tol: float = 1e-9,
-    out_dir: str | Path | None = None,
-) -> tuple[RateBounds, EigenPair]:
-    """Solve the direct and adjoint problems for a rate spec.
-
-    Optionally persists the sampled rate, the profile, the adjoint and a
-    flat metadata file to ``out_dir``.
-    """
-    rate = bspec if isinstance(bspec, RateBounds) else parse_rate_spec(bspec, grid)
-    if rate.grid != grid:
-        raise ValueError("rate sampled on a different grid")
-    pair = solve_pair(rate, tol=tol)
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        write_csv(rate.rate, out / "rate.csv")
-        write_csv(pair.N, out / "distribution.csv")
-        if pair.phi is not None:
-            write_csv(pair.phi, out / "adjoint.csv")
-        meta = {
-            "lambda0": pair.lambda0,
-            "lambda0_quad": pair.lambda0_quad,
-            "residual_N": pair.residual_N,
-            "residual_phi": pair.residual_phi,
-            "iterations": pair.iterations,
-            "grid_length": grid.length,
-            "grid_n": grid.intervals,
-        }
-        (out / "eigen.meta.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
-    return rate, pair
-
-
 def default_filters(truth: GridFunction) -> tuple[GridFunction, GridFunction]:
     """Zero lower envelope and a scaled-truth upper envelope."""
     lower = truth.with_values(np.zeros_like(truth.values))
@@ -180,19 +144,16 @@ def add_noise(
     truth: GridFunction,
     epsilon: float,
     seed: int,
-    filters: tuple[GridFunction, GridFunction] | None = None,
     lambda0: float | None = None,
 ) -> NoisyObservation:
-    """Noisy observation of a known profile, clamped into its envelopes.
+    """Noisy observation of a known profile, clamped into its default envelopes.
 
     The raw perturbation sits at exact L2 distance epsilon from the
     truth; the recorded noise level is the post-clamp distance, which is
     what any error analysis downstream should use.
     """
-    if filters is None:
-        filters = default_filters(truth)
     raw = perturbed(truth, epsilon, seed)
-    return clamp_observation(raw, filters, truth=truth, lambda0=lambda0)
+    return clamp_observation(raw, default_filters(truth), truth=truth, lambda0=lambda0)
 
 
 @dataclass(frozen=True)
@@ -215,22 +176,24 @@ class StudyReport:
     lambda0: float
     invariants_passed: bool
 
-    def mean_errors(self) -> list[tuple[float, float]]:
-        """(mean achieved epsilon, mean weighted error) per noisy level."""
-        groups: dict[float, list[StudyRow]] = {}
-        for r in self.rows:
-            if r.nominal_epsilon > 0.0:
-                groups.setdefault(r.nominal_epsilon, []).append(r)
-        out = []
-        for nominal in sorted(groups, reverse=True):
-            rows = groups[nominal]
-            out.append(
-                (
-                    float(np.mean([r.epsilon for r in rows])),
-                    float(np.mean([r.err_weighted for r in rows])),
-                )
+
+def _level_means(rows: list[StudyRow]) -> list[tuple[float, float, int]]:
+    """(mean achieved epsilon, mean weighted error, row count) per noisy level, noisiest first."""
+    groups: dict[float, list[StudyRow]] = {}
+    for r in rows:
+        if r.nominal_epsilon > 0.0:
+            groups.setdefault(r.nominal_epsilon, []).append(r)
+    out = []
+    for nominal in sorted(groups, reverse=True):
+        level = groups[nominal]
+        out.append(
+            (
+                float(np.mean([r.epsilon for r in level])),
+                float(np.mean([r.err_weighted for r in level])),
+                len(level),
             )
-        return out
+        )
+    return out
 
 
 def convergence_study(cfg: ExperimentConfig, progress=None) -> StudyReport:
@@ -275,15 +238,9 @@ def convergence_study(cfg: ExperimentConfig, progress=None) -> StudyReport:
         raise
 
     slope = halfwidth = None
-    groups: dict[float, list[StudyRow]] = {}
-    for r in rows:
-        if r.nominal_epsilon > 0.0:
-            groups.setdefault(r.nominal_epsilon, []).append(r)
-    eligible = {k: v for k, v in groups.items() if len(v) >= 3}
+    eligible = [(eps, err) for eps, err, count in _level_means(rows) if count >= 3]
     if len(eligible) >= 2:
-        xs = [float(np.mean([r.epsilon for r in v])) for v in eligible.values()]
-        ys = [float(np.mean([r.err_weighted for r in v])) for v in eligible.values()]
-        slope, halfwidth = fit_loglog_slope(xs, ys)
+        slope, halfwidth = fit_loglog_slope(*zip(*eligible))
     return StudyReport(rows, slope, halfwidth, lam, report.passed)
 
 
@@ -299,7 +256,7 @@ def _csv_lines(report: StudyReport) -> list[str]:
 
 def _svg_plot(report: StudyReport) -> str:
     """Minimal hand-rolled log-log line plot of mean error against noise."""
-    points = report.mean_errors()
+    points = _level_means(report.rows)
     width, height, margin = 640, 480, 60
     body = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',

@@ -264,7 +264,6 @@ def solve_regularized_general(
     N: GridFunction,
     F: GridFunction,
     alpha: float,
-    grid: Grid | None = None,
 ) -> RegularizedSolve:
     """Solve the stabilized product equation with a general source.
 
@@ -273,11 +272,9 @@ def solve_regularized_general(
     """
     if alpha <= 0.0:
         raise ValueError("regularization parameter must be positive")
-    if grid is None:
-        grid = F.grid
-    if N.grid != grid or F.grid != grid:
+    if N.grid != F.grid:
         raise ValueError("source and observation grids differ")
-    P = _march(F.values, alpha, grid.spacing)
+    P = _march(F.values, alpha, F.grid.spacing)
     lam = float("nan")
     return _with_rate(P, N, alpha, "general", F.values, lam)
 
@@ -313,20 +310,18 @@ def recover_rate(
     data = obs.data
     if data.values[0] != 0.0:
         raise ValueError("observation must vanish at the origin (filter violated)")
-    grid = data.grid
-    h = grid.spacing
+    h = data.grid.spacing
     lam = obs.growth_rate()
-    half = half_sample_values(data.values)
+    F = exact_product_source(data, lam)  # marched by direct-fd; diagnostics for both
 
     if scheme == "direct-fd":
-        F = lam * half + 2.0 * derivative_values(half, h)
         P = _march(F, alpha, h)
     else:
+        half = half_sample_values(data.values)
         quarter = half_sample_values(half)
         F_s = (2.0 / alpha) * quarter + (lam - 8.0 / alpha) * half
         S = _march(F_s, alpha, h)
         P = S + (2.0 / alpha) * half
-        F = lam * half + 2.0 * derivative_values(half, h)  # diagnostics only
 
     return _with_rate(P, data, alpha, scheme, F, lam)
 

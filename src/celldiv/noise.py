@@ -10,13 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import Grid, GridFunction, trapezoid
-
-
-def white_noise(grid: Grid, seed: int) -> np.ndarray:
-    """Unit-variance node samples from a seeded generator."""
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal(grid.intervals + 1)
+from .grid import GridFunction, trapezoid
 
 
 def perturbed(f: GridFunction, level: float, seed: int) -> GridFunction:
@@ -25,7 +19,7 @@ def perturbed(f: GridFunction, level: float, seed: int) -> GridFunction:
         raise ValueError("noise level must be nonnegative")
     if level == 0.0:
         return f
-    z = white_noise(f.grid, seed)
+    z = np.random.default_rng(seed).standard_normal(f.grid.intervals + 1)  # unit-variance nodes
     z_norm = np.sqrt(max(trapezoid(z * z, f.grid), 0.0))
     if z_norm == 0.0:
         raise RuntimeError("degenerate noise draw")

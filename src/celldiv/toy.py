@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fitting import fit_loglog_slope
-from .grid import GridFunction, WeightSpec, derivative, linear_recurrence, norm, seminorm
+from .grid import GridFunction, derivative, linear_recurrence, norm, seminorm
 from .noise import perturbed
 
 __all__ = [
@@ -59,7 +59,6 @@ class ToyProblem:
     weight: GridFunction
     data: GridFunction
     apriori: float | None = None
-    noise: float = 0.0
     u_true: GridFunction | None = None
 
     def __post_init__(self) -> None:
@@ -70,8 +69,6 @@ class ToyProblem:
         scale = max(1.0, float(np.abs(self.data.values).max()))
         if abs(self.data.values[0]) > 1e-12 * scale:
             raise ValueError("data must vanish at the left endpoint")
-        if self.noise < 0.0:
-            raise ValueError("noise level must be nonnegative")
         if self.apriori is not None:
             observed = seminorm(self.data, "H2")
             if observed > self.apriori * (1.0 + 1e-3) + 1e-9:
@@ -167,7 +164,7 @@ def toy_study(problem: ToyProblem, seeds: int, epsilons) -> ToyStudyReport:
         raise ValueError("need at least one seed")
     bound = problem.curvature_bound()
     reference = problem.reference()
-    weight = WeightSpec.squared_data(problem.weight)
+    weight = problem.weight.values ** 2
     h = problem.data.grid.spacing
     rows: list[ToyStudyRow] = []
     for eps in sorted(set(float(e) for e in epsilons), reverse=True):

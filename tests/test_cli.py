@@ -282,3 +282,12 @@ def test_gap_rejects_max_iters(tmp_path, capsys):
         main(["gap", "--bspec", "constant:1.0", "--max-iters", "5", "--output", str(out)])
     assert exc.value.code == 2
     assert "--max-iters" in capsys.readouterr().err
+
+
+def test_gap_rejects_probe(tmp_path, capsys):
+    # the gap study has no probe; only gre reads --probe
+    out = tmp_path / "gap.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["gap", "--bspec", "constant:1.0", "--probe", "square", "--output", str(out)])
+    assert exc.value.code == 2
+    assert "--probe" in capsys.readouterr().err

@@ -6,7 +6,6 @@ from celldiv.entropy import (
     ConvexProbe,
     build_perturbation,
     gap_study,
-    gre_balance,
     gre_terms,
     minimal_moment_exponent,
     random_bump_directions,
@@ -48,7 +47,7 @@ def test_zero_perturbation_is_degenerate(small_grid, small_base):
     assert norm(pair.delta_n) <= 1e-8
     assert norm(pair.delta_r) <= 1e-8
     for probe in (ConvexProbe.square(), ConvexProbe.linear()):
-        lhs, rhs = gre_balance(pair, probe)
+        lhs, rhs, _ = gre_terms(pair, probe)
         assert abs(lhs) <= 1e-10 and abs(rhs) <= 1e-10
 
 
@@ -117,7 +116,7 @@ def test_gre_dissipation_sign(small_grid, small_base):
     rate = constant_rate(small_grid, 1.0)
     pair = build_perturbation(rate, _bump(small_grid, 1.5, 2.0, 0.1), base=small_base)
     for probe in (ConvexProbe.square(), ConvexProbe.positive_part(0.1)):
-        lhs, rhs = gre_balance(pair, probe)
+        lhs, rhs, _ = gre_terms(pair, probe)
         assert lhs <= 1e-12
         assert lhs == pytest.approx(rhs, abs=1e-3 * max(abs(lhs), 1e-6))
 

@@ -5,7 +5,6 @@ import pytest
 
 from celldiv.grid import (
     GridFunction,
-    WeightSpec,
     derivative,
     double_sample_values,
     half_sample_values,
@@ -138,7 +137,7 @@ def test_norm_constant_and_zero():
     assert norm(one) == pytest.approx(1.0)
     assert norm(one, order="L1") == pytest.approx(1.0)
     assert norm(zero) == 0.0
-    assert norm(zero, WeightSpec.poly(2), "L1") == 0.0
+    assert norm(zero, grid.nodes ** 2, "L1") == 0.0
 
 
 def test_norm_linear_function():
@@ -166,21 +165,6 @@ def test_trapezoid_second_order_refinement():
         errors.append(abs(trapezoid(np.exp(grid.nodes), grid) - exact))
     ratio = errors[0] / errors[1]
     assert 3.2 <= ratio <= 4.8
-
-
-def test_weight_kinds():
-    grid = make_grid(2.0, 16)
-    x = grid.nodes
-    np.testing.assert_allclose(WeightSpec.unit().on(grid), np.ones_like(x))
-    np.testing.assert_allclose(WeightSpec.poly(3).on(grid), x ** 3)
-    data = GridFunction(grid, x + 1.0)
-    np.testing.assert_allclose(WeightSpec.squared_data(data).on(grid), (x + 1.0) ** 2)
-    with pytest.raises(ValueError):
-        WeightSpec.poly(-1)
-    with pytest.raises(ValueError):
-        WeightSpec("poly", 1.5)
-    with pytest.raises(ValueError):
-        WeightSpec("squared-data")
 
 
 def test_derivative_quadratic_exact_at_interior():

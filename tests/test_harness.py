@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from celldiv.direct import check_invariants
+from celldiv.direct import check_invariants, solve_pair
 from celldiv.grid import make_grid, norm
 from celldiv.harness import (
     CSV_SCHEMA,
@@ -13,7 +13,6 @@ from celldiv.harness import (
     default_domain_length,
     emit_report,
     parse_rate_spec,
-    synthesize,
 )
 
 
@@ -69,22 +68,12 @@ def test_parse_rate_spec(tmp_path):
         parse_rate_spec("spline:1", grid)
 
 
-def test_synthesize_constant(tmp_path):
-    grid = make_grid(12.0, 1024)
-    rate, pair = synthesize("constant:1.0", grid, out_dir=tmp_path)
-    assert abs(pair.lambda0 - 1.0) <= 1e-3
-    report = check_invariants(pair, rate)
-    assert report.passed
-    assert (tmp_path / "distribution.csv").exists()
-    assert (tmp_path / "adjoint.csv").exists()
-    assert (tmp_path / "eigen.meta.json").exists()
-
-
 def test_synthesize_step_invariants(tmp_path):
     pw = tmp_path / "steps.csv"
     pw.write_text("0.0,1.0\n2.0,2.0\n")
     grid = make_grid(16.0, 4096)  # jump at a node
-    rate, pair = synthesize(f"piecewise:{pw}", grid)
+    rate = parse_rate_spec(f"piecewise:{pw}", grid)
+    pair = solve_pair(rate)
     report = check_invariants(pair, rate)
     assert report.passed, report.lines()
 
@@ -94,7 +83,7 @@ def test_synthesize_rejects_nonpositive_rate(tmp_path):
     pw.write_text("0.0,0.0\n2.0,1.0\n")
     grid = make_grid(12.0, 1024)
     with pytest.raises(ValueError):
-        synthesize(f"piecewise:{pw}", grid)
+        parse_rate_spec(f"piecewise:{pw}", grid)
 
 
 def test_add_noise_identity_at_zero(grid12, unit_series):

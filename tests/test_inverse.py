@@ -91,6 +91,13 @@ def test_general_solve_rejects_bad_alpha(grid12, unit_series):
         solve_regularized_general(unit_series, zero, 0.0)
 
 
+def test_general_solve_rejects_grid_mismatch(grid12, unit_series):
+    other = make_grid(12.0, grid12.intervals // 2)
+    zero = GridFunction(other, np.zeros(other.intervals + 1))
+    with pytest.raises(ValueError, match="grids differ"):
+        solve_regularized_general(unit_series, zero, 1e-2)
+
+
 def test_general_solve_boundary_value(exact_obs):
     solve = recover_rate(exact_obs, 1e-2)
     assert solve.P.values[0] == 0.0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from celldiv.grid import GridFunction, WeightSpec, make_grid, norm, seminorm
+from celldiv.grid import GridFunction, make_grid, norm, seminorm
 from celldiv.toy import (
     ALPHA_FLOOR,
     NoiseFloorWarning,
@@ -67,7 +67,7 @@ def test_consistency_bound_square_data(square_problem):
     x = grid.nodes
     alpha = 0.1
     u = toy_solve(square_problem, alpha)
-    weight = WeightSpec.squared_data(square_problem.weight)
+    weight = square_problem.weight.values ** 2
     err = norm(GridFunction(grid, u.values - 2.0 * x), weight)
     assert err <= alpha * 2.0
     analytic = 2.0 * alpha * np.sqrt(
@@ -99,7 +99,7 @@ def test_stability_estimate_family(square_problem):
     # alpha * ||u_alpha|| stays below ||v|| for rough and smooth data
     grid = square_problem.data.grid
     x = grid.nodes
-    weight = WeightSpec.squared_data(square_problem.weight)
+    weight = square_problem.weight.values ** 2
     for values in (x ** 2, np.sin(40.0 * x), np.exp(-x / 0.01) - 1.0):
         data = GridFunction(grid, values - values[0])
         p = ToyProblem(square_problem.weight, data)
@@ -112,7 +112,7 @@ def test_consistency_estimate_compatible_suite():
     grid = make_grid(1.0, 4096)
     x = grid.nodes
     ones = GridFunction(grid, np.ones_like(x))
-    weight = WeightSpec.squared_data(ones)
+    weight = ones.values ** 2
     suite = [
         (x ** 2, 2.0 * x),
         (x ** 2 + x ** 3, 2.0 * x + 3.0 * x ** 2),
@@ -138,7 +138,7 @@ def test_incompatible_data_shows_boundary_layer():
     assert not p.compatible
     alpha = 0.01
     u = toy_solve(p, alpha)
-    err = norm(GridFunction(grid, u.values - 1.0), WeightSpec.squared_data(ones))
+    err = norm(GridFunction(grid, u.values - 1.0), ones.values ** 2)
     curvature = seminorm(p.data, "H2")  # about zero for linear data
     assert err > alpha * curvature + 10.0 * grid.spacing  # bound genuinely fails
 
