@@ -152,32 +152,68 @@ def double_sample_values(values: np.ndarray) -> np.ndarray:
 
 
 _TINY = float(np.finfo(float).tiny)  # smallest normal double
+# Range of the running product of per-step coefficients: outside it the
+# scaled sources s_k / P_k could overflow, or the product underflow.
+_PRODUCT_RANGE = (1e-100, 1e100)
+_LOG_MAX = float(np.log(np.finfo(float).max))
 
 
 def linear_recurrence(c, s: np.ndarray, x0: float = 0.0) -> np.ndarray:
     """All of ``x_k = c_k x_{k-1} + s_k`` with ``x_{-1} = x0``.
 
     ``c`` is a constant ``0 <= c < 1`` or one nonnegative coefficient per
-    step; with per-step coefficients the caller keeps every partial
-    product finite. Recursive doubling: after the pass at distance ``d``
-    every entry sums the last ``2 d`` sources, weighted by the running
-    products ``p_k = c_k ... c_{k-d+1}``, so ``log2(len(s))`` vector passes
-    suffice, and fewer once a constant's power ``c**d`` drops below the
-    smallest normal double (later terms would be subnormal and slow).
+    step. Per-step coefficients use the closed form
+    ``x = P (x0 + cumsum(s / P))`` with the running product
+    ``P = cumprod(c)``, a few vector passes. Where ``P`` would leave
+    ``[1e-100, 1e100]`` (an exact zero included), that step is computed on
+    its own and a fresh product starts at the next one; each product is
+    taken over a window twice the previous segment and short enough not
+    to overflow, so the work stays linear. A constant coefficient uses
+    recursive doubling: after the pass at distance ``d`` every entry sums
+    the last ``2 d`` sources weighted by ``c**d``, so at most
+    ``log2(len(s))`` passes suffice, and fewer once ``c**d`` drops below
+    the smallest normal double (later terms would be subnormal and slow).
     """
     x = np.array(s, dtype=float)
-    per_step = np.ndim(c) > 0
-    p = np.array(c, dtype=float) if per_step else float(c)
-    x[0] += (p[0] if per_step else p) * x0
+    if np.ndim(c) > 0:
+        return _closed_form_recurrence(np.asarray(c, dtype=float), x, float(x0))
+    p = float(c)
+    x[0] += p * x0
     d = 1
-    while d < x.size and (per_step or p >= _TINY):
-        if per_step:
-            x[d:] += p[d:] * x[:-d]
-            p[d:] *= p[:-d]
-        else:
-            x[d:] += p * x[:-d]
-            p *= p
+    while d < x.size and p >= _TINY:
+        x[d:] += p * x[:-d]
+        p *= p
         d *= 2
+    return x
+
+
+def _closed_form_recurrence(c: np.ndarray, x: np.ndarray, prev: float) -> np.ndarray:
+    """Per-step branch of :func:`linear_recurrence`; overwrites the sources ``x``."""
+    low, high = _PRODUCT_RANGE
+    # no window may overflow, even past the step where its product leaves the range
+    top = c[c.argmax()]
+    cap = max(1, int(_LOG_MAX / np.log(top))) if top > 1.0 else x.size
+    k, width = 0, x.size
+    while k < x.size:
+        # ufunc methods and argmin/argmax: cumprod, cumsum, min and max
+        # cost several microseconds per call, which short segments feel
+        P = np.multiply.accumulate(c[k : k + min(width, cap)])
+        m = P.size
+        if P[P.argmin()] < low or P[P.argmax()] > high:
+            m = int(((P < low) | (P > high)).argmax())
+        if m:
+            seg = x[k : k + m]
+            seg[0] += c[k] * prev
+            seg /= P[:m]
+            np.add.accumulate(seg, out=seg)
+            seg *= P[:m]
+            prev = seg[-1]
+        k += m
+        if m < P.size:  # the product leaves its range at step k
+            x[k] += c[k] * prev
+            prev = x[k]
+            k += 1
+        width = 2 * (m + 1)
     return x
 
 

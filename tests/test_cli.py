@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from celldiv.cli import _rate_table, main
-from celldiv.grid import read_csv
+from celldiv.direct import bump_rate
+from celldiv.grid import make_grid, read_csv, write_csv
 
 
 def test_direct_subcommand(tmp_path):
@@ -69,6 +70,16 @@ def test_adjoint_max_iters_caps_sweeps(tmp_path):
     with pytest.raises(RuntimeError, match="adjoint solve did not converge"):
         main(["adjoint", "--bspec", f"piecewise:{rate}", "--max-iters", "2",
               "--output", str(tmp_path / "phi.csv")])
+
+
+def test_adjoint_tight_tol_converges_in_64_sweeps_at_n65536(tmp_path):
+    # tol * h = 1.8e-16 is below the round-off of the sweeps
+    rate = tmp_path / "bump.csv"
+    write_csv(bump_rate(make_grid(12.0, 65536), 1.0, 0.4, 2.0, 1.5).rate, rate)
+    out = tmp_path / "phi.csv"
+    main(["adjoint", "--bspec", f"table:{rate}", "--grid-n", "65536", "--tol", "1e-12",
+          "--max-iters", "64", "--output", str(out)])
+    assert read_csv(out).values.min() > 0.0
 
 
 def test_toy_subcommand(tmp_path):

@@ -344,6 +344,12 @@ def test_steep_rate_march_stays_finite():
     assert norm(GridFunction(grid, pair.N.values - series.values), order="L1") <= 3e-3
 
 
+def test_steep_rate_adjoint_stays_flat():
+    # the sweep coefficients multiply to about e^-1600 over [0, L]
+    pair = solve_pair(constant_rate(make_grid(40.0, 16384), 20.0))
+    np.testing.assert_allclose(pair.phi.values, 1.0, rtol=0.0, atol=1e-9)
+
+
 def test_direct_solve_rejects_coarse_grid():
     with pytest.raises(ValueError, match="coarse.*lam_hi"):
         solve_direct(constant_rate(make_grid(12.0, 8), 1.0))

@@ -292,20 +292,42 @@ def test_csv_rejects_nonzero_origin(tmp_path):
         read_csv(path)
 
 
+def _zero_every_37th(rng, size):
+    c = rng.uniform(0.5, 1.5, size)
+    c[::37] = 0.0
+    return c
+
+
+# Per-step coefficients. The running products of the last three cross
+# 1e-100 or 1e100 several times, or hit an exact zero, so the closed form
+# has to restart its product.
+PER_STEP = {
+    "per-step": lambda rng, size: rng.uniform(0.5, 1.5, size),
+    "decaying": lambda rng, size: rng.uniform(0.4, 0.6, size),
+    "growing": lambda rng, size: rng.uniform(1.5, 2.5, size),
+    "zeros": _zero_every_37th,
+}
+
+
 @pytest.mark.parametrize(
     ("size", "c"),
     [(size, c) for size in (1, 2, 3, 1000) for c in (0.0, 0.5, 0.99993, "per-step")]
     # 0.5**1024 is subnormal: stopping the doubling before it must lose nothing
-    + [(1024, 0.5), (65536, 0.5)],
+    + [(1024, 0.5), (65536, 0.5)]
+    # the product of 1200 growing steps, about 1e355, overflows; sources
+    # scaled by 1e-200 keep the loop finite (4096 such steps exceed any scaling)
+    + [(4096, "decaying"), (1200, "growing"), (4096, "zeros")],
 )
 def test_linear_recurrence_matches_loop(c, size, rng):
-    s = rng.standard_normal(size)
-    coef = rng.uniform(0.5, 1.5, size) if c == "per-step" else np.full(size, c)
-    x0 = -0.75
+    scale = 1e-200 if c == "growing" else 1.0
+    s = scale * rng.standard_normal(size)
+    coef = PER_STEP[c](rng, size) if c in PER_STEP else np.full(size, c)
+    x0 = -0.75 * scale
     expected = np.empty(size)
     prev = x0
     for k in range(size):
         prev = coef[k] * prev + s[k]
         expected[k] = prev
-    got = linear_recurrence(coef if c == "per-step" else c, s, x0)
+    assert np.all(np.isfinite(expected))
+    got = linear_recurrence(coef if c in PER_STEP else c, s, x0)
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
