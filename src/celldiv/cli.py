@@ -270,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(which, help=f"solve the {which} eigenproblem")
         _add_grid_flags(p)
         capped = "root-finder iterations" if which == "direct" else "adjoint sweeps (not the direct solve)"
-        p.add_argument("--max-iters", type=int, default=500_000, help=f"cap on the {capped}")
+        p.add_argument("--max-iters", type=int, default=200, help=f"cap on the {capped}")
         p.add_argument("--output", required=True)
         p.set_defaults(func=_cmd_direct, which=which)
 

@@ -10,10 +10,10 @@ where B is the size-dependent division rate. The adjoint profile phi solves
 
 N is the trapezoidal collocation of the stationary equation (second-order
 accurate). With lambda fixed, the collocation is marched from right to
-left: every dyadic block of nodes reads its doubled arguments from nodes
-already solved, so each block is one first-order linear recurrence, and
-lambda0 is the root of the shooting residual N_lambda(0) = 0. That makes
-the direct solve O(n) per root iteration. The adjoint profile is the
+left: after one integrating factor per march, every dyadic block of nodes
+reads its doubled arguments from nodes already solved and is one prefix
+sum. lambda0 is the root of the shooting residual N_lambda(0) = 0, so
+the direct solve is O(n) per root iteration. The adjoint profile is the
 positive eigenvector of the unit-CFL downwind step (an exact node shift with
 the reaction and half-argument terms averaged along the characteristic),
 found by a few dozen right-to-left recurrence sweeps, each O(n).
@@ -170,10 +170,12 @@ class EigenPair:
     phi_growth: float | None = None
 
 
-# Largest growth factor of one march chunk, and the running peak past which
-# the solved tail is rescaled: every partial product and value of the march
-# stays below about its square, far inside the double range.
+# Largest growth of the march's integrating factor within one window, so
+# every product the march forms stays far inside the double range.
 _GROWTH_LIMIT = 1e100
+# Floor of Brent's stop width, times h: 1 + h/2 (B + lam) keeps lam only to
+# about 2 eps / h, below which the shooting residual is a staircase in lam.
+_ROOT_FLOOR = 4 * np.finfo(float).eps
 # The discrete growth rate may leave the continuous bounds [b_min, b_max]
 # by the discretization error; the bracket is widened by this fraction.
 _BRACKET_WIDENING = 1e-2
@@ -191,49 +193,56 @@ def _shoot(B: np.ndarray, h: float, lam: float) -> np.ndarray:
 
     Starts from ``v[n] = 1`` and solves every equation
     ``v[k] - v[k-1] = h/2 (G[k] + G[k-1])`` for ``v[k-1]``, with
-    ``G = 4 B(2x) v(2x) - (B + lam) v``. Once the nodes from ``m`` up are
-    known, the doubled-argument reads of nodes ``ceil(m/2) .. m-1`` only
-    touch known nodes, so each such dyadic block is one linear recurrence
-    with coefficients ``a_k > 1``; blocks are cut into chunks of bounded
-    growth and the solved tail is rescaled when it grows large. The
-    doubled-argument read of node 0 is its boundary value 0, so ``v[0]`` is
-    the shooting residual. Returns ``v`` scaled to ``max |v| = 1``.
+    ``G = 4 B(2x) v(2x) - (B + lam) v``, as ``v[j] = A[j] v[j+1] + S[j]``.
+    With the integrating factor ``Q[j] = prod_{i>=j} A[i]`` (products over
+    windows of bounded growth, one log scale each) ``u = v / Q`` obeys
+    ``u[j] = u[j+1] + K1[j] u[2j] + K2[j] u[2j+2]``. Once the nodes from
+    ``m`` up are known, nodes ``ceil(m/2) .. m-1`` only read known nodes,
+    so each such dyadic block is one prefix sum; past ``n/2`` nothing is
+    read and ``u = 1``. The doubled-argument read of node 0 is its boundary
+    value 0, so ``v[0]`` is the shooting residual. Returns ``v`` scaled to
+    ``max |v| = 1``.
     """
     n = B.size - 1
     half = 0.5 * h * (B + lam)
     den = 1.0 - half[:-1]
-    A = (1.0 + half[1:]) / den  # v[j] = A[j] v[j+1] + S[j]
-    coef = -2.0 * h / den
-    chunk = max(1, int(np.log(_GROWTH_LIMIT) / np.log(A.max())))
-    v = np.zeros(n + 1)
-    v[n] = peak = 1.0
-    m = n
+    A = np.divide(1.0 + half[1:], den, out=half[1:])
+    window = max(1, int(np.log(_GROWTH_LIMIT) / np.log(A.max())))
+    Q, scale = np.ones(n + 1), np.zeros(n + 1)  # the factor is Q e^scale
+    for hi in range(n, 0, -window):
+        lo = max(hi - window, 0)
+        np.multiply.accumulate(A[lo:hi][::-1], out=Q[lo:hi][::-1])
+        scale[:lo] = scale[lo] + np.log(Q[lo])
+    m = n // 2 + 1
+    g = np.divide(-2.0 * h, den[:m] * Q[:m], out=den[:m])
+    W = np.append(0.0, B[2::2] * Q[2::2])  # B(2x) Q(2x), 0 at the boundary x = 0
+    K1, K2 = g * W, g * np.append(W[1:], 0.0)
+    if window < n:
+        K1 *= np.exp(scale[::2] - scale[:m])
+        K2[:-1] *= np.exp(scale[2::2] - scale[: m - 1])
+        Q *= np.exp(scale - scale[0])
+    u = np.ones(n + 3)  # the first block reads up to node n + 2, where K2 = 0
     while m > 0:
-        lo = max((m + 1) // 2 if m > 1 else 0, m - chunk)
-        dbl = B[2 * lo : 2 * m + 1 : 2] * v[2 * lo : 2 * m + 1 : 2]
-        D = np.zeros(m - lo + 1)  # B(2x) v(2x) at nodes lo..m, zero past L
-        D[: dbl.size] = dbl
-        S = coef[lo:m] * (D[1:] + D[:-1])
-        v[lo:m] = linear_recurrence(A[lo:m][::-1], S[::-1], v[m])[::-1]
-        peak = max(peak, float(np.abs(v[lo:m]).max()))
-        if peak > _GROWTH_LIMIT:
-            v[lo:] /= peak
-            peak = 1.0
+        lo = (m + 1) // 2 if m > 1 else 0
+        T = K1[lo:m] * u[2 * lo : 2 * m : 2] + K2[lo:m] * u[2 * lo + 2 : 2 * m + 2 : 2]
+        T[-1] += u[m]
+        np.add.accumulate(T[::-1], out=u[lo:m][::-1])
         m = lo
-    return v / peak
+    v = np.multiply(Q, u[: n + 1], out=Q)
+    return np.divide(v, max(v.max(), -v.min()), out=v)
 
 
-def solve_direct(rate: RateBounds, tol: float = 1e-9, max_iters: int = 500_000) -> EigenPair:
+def solve_direct(rate: RateBounds, tol: float = 1e-9, max_iters: int = 200) -> EigenPair:
     """Stable size distribution and growth rate by dyadic shooting.
 
     ``lambda0`` is the root of the shooting residual ``v[0] / max |v|`` of
     :func:`_shoot`, found by Brent's method on a bracket that shrinks to
-    ``tol`` times the step size; ``N`` is the march at that root,
-    normalized to unit mass. The bracket is the rate bounds, widened
-    slightly. ``iterations`` counts marches. Raises if ``max_iters``
-    marches do not suffice, if the bracket holds no sign change, or if the
-    profile changes sign (a non-Perron root). The adjoint slot of the
-    returned pair is left empty.
+    ``tol * h`` or, where the march cannot resolve that, ``4 eps / h``;
+    ``N`` is the march at that root, normalized to unit mass. The bracket
+    is the rate bounds, widened slightly. ``iterations`` counts marches.
+    Raises if ``max_iters`` marches do not suffice, if the bracket holds no
+    sign change, or if the profile changes sign (a non-Perron root). The
+    adjoint slot of the returned pair is left empty.
     """
     if not (tol > 0.0):
         raise ValueError("tolerance must be positive")
@@ -261,7 +270,7 @@ def solve_direct(rate: RateBounds, tol: float = 1e-9, max_iters: int = 500_000) 
     lo, hi = residual(lam_lo), residual(lam_hi)
     if lo[1] * hi[1] > 0.0:
         raise RuntimeError(f"shooting residual has no sign change on [{lam_lo:.6g}, {lam_hi:.6g}]")
-    lam, _, v = _brent(residual, lo, hi, tol * h)
+    lam, _, v = _brent(residual, lo, hi, max(tol * h, _ROOT_FLOOR / h))
 
     if v[1:].min() < -_SIGN_TOLERANCE:
         raise RuntimeError("direct solve found a non-Perron root: the profile changes sign")
@@ -326,7 +335,7 @@ def solve_adjoint(
     lambda0: float,
     N: GridFunction,
     tol: float = 1e-9,
-    max_iters: int = 500_000,
+    max_iters: int = 200,
 ) -> GridFunction:
     """Adjoint profile by right-to-left recurrence sweeps, reusing ``lambda0``.
 
@@ -392,12 +401,12 @@ def adjoint_residual(phi: GridFunction, rate: RateBounds, lambda0: float) -> flo
 def solve_pair(
     rate: RateBounds,
     tol: float = 1e-9,
-    max_iters: int = 500_000,
+    max_iters: int = 200,
 ) -> EigenPair:
     """Direct solve followed by the adjoint, sharing one eigenvalue.
 
-    ``max_iters`` caps the adjoint's sweeps; the direct root search is
-    bounded by its bracket and is not capped.
+    ``max_iters`` caps the adjoint's sweeps; the direct root search keeps
+    the default cap of :func:`solve_direct`.
     """
     pair = solve_direct(rate, tol=tol)
     phi = solve_adjoint(rate, pair.lambda0, pair.N, tol=tol, max_iters=max_iters)

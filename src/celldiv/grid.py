@@ -15,9 +15,9 @@ Two sampling rules recur throughout and are kept consistent on purpose:
 
 Quadrature is the trapezoid rule, matching the piecewise-linear
 interpolation order. Derivatives are centered differences with one-sided
-second-order stencils at the two boundary nodes. The shooting march of the
-direct eigenproblem and the implicit marchers of the toy and inverse
-problems share one first-order linear recurrence.
+second-order stencils at the two boundary nodes. The adjoint sweeps and
+the implicit marchers of the toy and inverse problems share one
+first-order linear recurrence.
 """
 
 from __future__ import annotations

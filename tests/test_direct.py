@@ -3,6 +3,7 @@ import pytest
 
 import celldiv.direct
 from celldiv.direct import (
+    _shoot,
     adjoint_residual,
     bump_rate,
     check_invariants,
@@ -13,7 +14,15 @@ from celldiv.direct import (
     solve_direct,
     solve_pair,
 )
-from celldiv.grid import GridFunction, derivative, half_sample_values, make_grid, norm, trapezoid
+from celldiv.grid import (
+    GridFunction,
+    derivative,
+    half_sample_values,
+    linear_recurrence,
+    make_grid,
+    norm,
+    trapezoid,
+)
 
 
 def _power_iteration(rate, tol, max_iters=500_000):
@@ -88,6 +97,41 @@ def _adjoint_power_iteration(rate, lambda0, N, tol, max_iters=500_000):
         if diff <= tol * h:
             return psi
     raise AssertionError("adjoint power iteration did not converge")
+
+
+def _block_march(B, h, lam):
+    """Reference oracle: the shooting march as one linear recurrence per block.
+
+    Marches ``v[j] = A[j] v[j+1] + S[j]`` right to left in ``v`` itself:
+    each dyadic block of nodes, whose doubled-argument reads touch only
+    nodes already solved, is one :func:`linear_recurrence`, cut into chunks
+    of growth at most 1e100; the solved tail is rescaled whenever its peak
+    passes that limit. Returns ``v`` scaled to
+    ``max |v| = 1``, like :func:`celldiv.direct._shoot`.
+    """
+    n = B.size - 1
+    half = 0.5 * h * (B + lam)
+    den = 1.0 - half[:-1]
+    A = (1.0 + half[1:]) / den
+    coef = -2.0 * h / den
+    limit = 1e100
+    chunk = max(1, int(np.log(limit) / np.log(A.max())))
+    v = np.zeros(n + 1)
+    v[n] = peak = 1.0
+    m = n
+    while m > 0:
+        lo = max((m + 1) // 2 if m > 1 else 0, m - chunk)
+        dbl = B[2 * lo : 2 * m + 1 : 2] * v[2 * lo : 2 * m + 1 : 2]
+        D = np.zeros(m - lo + 1)  # B(2x) v(2x) at nodes lo..m, zero past L
+        D[: dbl.size] = dbl
+        S = coef[lo:m] * (D[1:] + D[:-1])
+        v[lo:m] = linear_recurrence(A[lo:m][::-1], S[::-1], v[m])[::-1]
+        peak = max(peak, float(np.abs(v[lo:m]).max()))
+        if peak > limit:
+            v[lo:] /= peak
+            peak = 1.0
+        m = lo
+    return v / peak
 
 
 ACCEPTANCE_RATES = {
@@ -393,3 +437,42 @@ def test_unit_rate_refinement_ladder():
         distances.append(norm(GridFunction(grid, pair.N.values - series.values), order="L1"))
     ratios = np.array(distances[:-1]) / np.array(distances[1:])
     assert ratios.min() >= 3.5, ratios
+
+
+SHOOT_RATES = {**ACCEPTANCE_RATES, "constant-20": lambda g: constant_rate(g, 20.0)}
+SHOOT_CASES = [(name, n) for name in ACCEPTANCE_RATES for n in (16, 17, 1024, 4096, 65536)]
+
+
+@pytest.mark.parametrize("name, n", SHOOT_CASES + [("constant-20", 16384)])
+def test_shoot_matches_block_march(name, n):
+    # [0, 12] is too coarse at n = 16 and 17 for every rate but constant-1.
+    # Constant 20 on [0, 40] spans e^1600: several windows, each with its own scale.
+    length = 40.0 if name == "constant-20" else 12.0 if n >= 1024 else 6.0
+    grid = make_grid(length, n)
+    rate = SHOOT_RATES[name](grid)
+    root = solve_direct(rate).lambda0
+    for lam in (0.99 * rate.b_min, root, 1.01 * rate.b_max):
+        got = _shoot(rate.values, grid.spacing, lam)
+        assert np.max(np.abs(got - _block_march(rate.values, grid.spacing, lam))) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["constant-2", "step-down"])
+@pytest.mark.parametrize("n", [4096, 65536])
+def test_shooting_residual_noise_floor(name, n):
+    # Near the root the residual is a line plus the round-off of the march;
+    # summing log A instead of multiplying A makes that 17-35 times rougher.
+    grid = make_grid(12.0, n)
+    rate = ACCEPTANCE_RATES[name](grid)
+    root = solve_direct(rate).lambda0
+    offsets = np.linspace(-2e-11, 2e-11, 81)
+    res = np.array([_shoot(rate.values, grid.spacing, root + d)[0] for d in offsets])
+    line = np.polyval(np.polyfit(offsets, res, 1), offsets)
+    assert np.max(np.abs(res - line)) <= 16.0 * np.finfo(float).eps * np.sqrt(n)
+
+
+@pytest.mark.parametrize("name", ACCEPTANCE_RATES)
+@pytest.mark.parametrize("n", [32768, 65536])
+def test_direct_solve_takes_at_most_8_marches_at_fine_grids(name, n):
+    # Brent must not step across the round-off plateaus of the residual
+    pair = solve_direct(ACCEPTANCE_RATES[name](make_grid(12.0, n)))
+    assert pair.iterations <= 8
