@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import entropy, harness, inverse, toy
-from .direct import check_invariants, solve_direct, solve_pair
+from .direct import adjoint_residual, check_invariants, direct_residual, solve_direct, solve_pair
 from .grid import GridFunction, make_grid, read_csv, write_csv
 
 OUT_DIR_ENV = "CELLDIV_OUT_DIR"
@@ -68,13 +68,14 @@ def _cmd_direct(args) -> int:
     profile = pair.phi if args.which == "adjoint" else pair.N
     write_csv(profile, out)
     report = check_invariants(pair, rate)
+    phi = pair.phi
     meta = {
         "lambda0": pair.lambda0,
-        "lambda0_quad": pair.lambda0_quad,
-        "residual_N": pair.residual_N,
-        "residual_phi": pair.residual_phi,
+        "lambda0_quad": report.checks["f1"].rhs,  # int B N
+        "residual_N": direct_residual(pair.N, rate, pair.lambda0),
+        "residual_phi": None if phi is None else adjoint_residual(phi, rate, pair.lambda0),
         "iterations": pair.iterations,
-        "phi_growth": pair.phi_growth,
+        "phi_growth": None if phi is None else float(np.max(phi.values / (1.0 + grid.nodes))),
         "invariants_passed": report.passed,
     }
     _meta_path(out).write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")

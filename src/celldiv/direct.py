@@ -24,7 +24,7 @@ serves as an independent oracle for everything else in this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from .grid import (
     half_sample_values,
     linear_recurrence,
     norm,
+    product_window,
     trapezoid,
 )
 
@@ -51,6 +52,7 @@ __all__ = [
     "solve_direct",
     "solve_adjoint",
     "solve_pair",
+    "direct_residual",
     "adjoint_residual",
     "constant_b_series",
     "check_invariants",
@@ -147,32 +149,17 @@ def bump_rate(grid: Grid, base: float, amplitude: float, center: float, width: f
 
 @dataclass(frozen=True)
 class EigenPair:
-    """Converged eigen-elements with residual and iteration metadata.
+    """Converged eigen-elements; ``iterations`` counts the root search's marches.
 
-    ``lambda0`` is the root of the shooting residual; ``lambda0_quad`` is
-    the independent quadrature estimate int B N dx, kept for
-    cross-validation of the discretization error. ``iterations`` counts
-    the marches of the root search. ``residual_N`` and ``residual_phi``
-    are centred-difference residuals of the continuous equations on the
-    solution: an O(h^2) estimate of the discretization error, not the
-    residual of the discrete system solved, so they do not shrink with tol.
-    ``phi`` is filled by :func:`solve_adjoint` (None until then) and
-    ``phi_growth`` records the sublinearity witness sup phi / (1 + x).
+    ``phi`` is None after :func:`solve_direct`; :func:`solve_pair` fills it.
     """
 
     lambda0: float
     N: GridFunction
     phi: GridFunction | None
-    residual_N: float
-    residual_phi: float | None
     iterations: int
-    lambda0_quad: float = field(default=float("nan"))
-    phi_growth: float | None = None
 
 
-# Largest growth of the march's integrating factor within one window, so
-# every product the march forms stays far inside the double range.
-_GROWTH_LIMIT = 1e100
 # Floor of Brent's stop width, times h: 1 + h/2 (B + lam) keeps lam only to
 # about 2 eps / h, below which the shooting residual is a staircase in lam.
 _ROOT_FLOOR = 4 * np.finfo(float).eps
@@ -195,19 +182,19 @@ def _shoot(B: np.ndarray, h: float, lam: float) -> np.ndarray:
     ``v[k] - v[k-1] = h/2 (G[k] + G[k-1])`` for ``v[k-1]``, with
     ``G = 4 B(2x) v(2x) - (B + lam) v``, as ``v[j] = A[j] v[j+1] + S[j]``.
     With the integrating factor ``Q[j] = prod_{i>=j} A[i]`` (products over
-    windows of bounded growth, one log scale each) ``u = v / Q`` obeys
-    ``u[j] = u[j+1] + K1[j] u[2j] + K2[j] u[2j+2]``. Once the nodes from
-    ``m`` up are known, nodes ``ceil(m/2) .. m-1`` only read known nodes,
-    so each such dyadic block is one prefix sum; past ``n/2`` nothing is
-    read and ``u = 1``. The doubled-argument read of node 0 is its boundary
-    value 0, so ``v[0]`` is the shooting residual. Returns ``v`` scaled to
-    ``max |v| = 1``.
+    windows of :func:`product_window` steps, one log scale each)
+    ``u = v / Q`` obeys ``u[j] = u[j+1] + K1[j] u[2j] + K2[j] u[2j+2]``.
+    Once the nodes from ``m`` up are known, nodes ``ceil(m/2) .. m-1`` only
+    read known nodes, so each such dyadic block is one prefix sum; past
+    ``n/2`` nothing is read and ``u = 1``. The doubled-argument read of
+    node 0 is its boundary value 0, so ``v[0]`` is the shooting residual.
+    Returns ``v`` scaled to ``max |v| = 1``.
     """
     n = B.size - 1
     half = 0.5 * h * (B + lam)
     den = 1.0 - half[:-1]
     A = np.divide(1.0 + half[1:], den, out=half[1:])
-    window = max(1, int(np.log(_GROWTH_LIMIT) / np.log(A.max())))
+    window = product_window(A)
     Q, scale = np.ones(n + 1), np.zeros(n + 1)  # the factor is Q e^scale
     for hi in range(n, 0, -window):
         lo = max(hi - window, 0)
@@ -277,10 +264,7 @@ def solve_direct(rate: RateBounds, tol: float = 1e-9, max_iters: int = 200) -> E
     v = np.maximum(v, 0.0)
     v[0] = 0.0
     v /= trapezoid(v, grid)
-    N = GridFunction(grid, v)
-    lam_quad = trapezoid(B * v, grid)
-    res = _direct_residual(N, B, lam)
-    return EigenPair(lam, N, None, res, None, marches, lambda0_quad=lam_quad)
+    return EigenPair(lam, GridFunction(grid, v), None, marches)
 
 
 def _brent(f, a, b, xtol: float):
@@ -325,8 +309,14 @@ def _brent(f, a, b, xtol: float):
             d = e = b[0] - a[0]
 
 
-def _direct_residual(N: GridFunction, B: np.ndarray, lam: float) -> float:
-    r = derivative(N).values + (lam + B) * N.values - 4.0 * double_sample_values(B * N.values)
+def direct_residual(N: GridFunction, rate: RateBounds, lambda0: float) -> float:
+    """Centred-difference residual of the continuous direct equation on ``N``.
+
+    An O(h^2) discretization-error estimate, not the residual of the
+    trapezoidal collocation that :func:`solve_direct` solves.
+    """
+    B = rate.values
+    r = derivative(N).values + (lambda0 + B) * N.values - 4.0 * double_sample_values(B * N.values)
     return norm(GridFunction(N.grid, r))
 
 
@@ -345,15 +335,18 @@ def solve_adjoint(
     truncation boundary. Each sweep lags the half-argument term, takes the
     eigenvalue estimate ``mu = int (S psi) N`` from one step, solves
     ``S psi = mu psi`` for the other terms as one linear recurrence with
-    coefficients in ``[0, 1)`` from the boundary row leftward, and
-    renormalizes to ``int psi N = 1``. The pairing with ``N`` also weights
-    the convergence test, which stops once the change falls below
-    ``tol * h`` or, when that is below round-off, 256 machine epsilons.
-    ``max_iters`` caps the sweeps.
+    coefficients ``(1 - r) / (mu + r)``, ``r = h/2 (lambda0 + B)``, from the
+    boundary row leftward, and renormalizes to ``int psi N = 1``. The
+    pairing with ``N`` also weights the convergence test, which stops once
+    the change falls below ``tol * h`` or, when that is below round-off,
+    256 machine epsilons. ``max_iters`` caps the sweeps. Raises unless
+    ``h (b_max + lambda0) < 2``, which keeps those coefficients positive.
     """
     grid = rate.grid
     B = rate.values
     h = grid.spacing
+    if 0.5 * h * (rate.b_max + lambda0) >= 1.0:
+        raise ValueError("grid too coarse for the adjoint: need h (b_max + lambda0) < 2")
     Nv = N.values
     r = 0.5 * h * (lambda0 + B)
     step = np.empty_like(Nv)
@@ -409,10 +402,7 @@ def solve_pair(
     the default cap of :func:`solve_direct`.
     """
     pair = solve_direct(rate, tol=tol)
-    phi = solve_adjoint(rate, pair.lambda0, pair.N, tol=tol, max_iters=max_iters)
-    res = adjoint_residual(phi, rate, pair.lambda0)
-    growth_witness = float(np.max(phi.values / (1.0 + rate.grid.nodes)))
-    return replace(pair, phi=phi, residual_phi=res, phi_growth=growth_witness)
+    return replace(pair, phi=solve_adjoint(rate, pair.lambda0, pair.N, tol=tol, max_iters=max_iters))
 
 
 def constant_b_series(b: float, grid: Grid, terms: int = 40) -> GridFunction:

@@ -312,7 +312,6 @@ def gap_study(
     directions: list[GridFunction],
     amplitude: float,
     tol: float = 1e-9,
-    moment_exponent: int | None = None,
 ) -> GapReport:
     """Empirical spectral-gap ratios over a family of perturbation directions.
 
@@ -332,11 +331,7 @@ def gap_study(
         if norm(d) == 0.0:
             raise ValueError("zero perturbation direction rejected")
         b_max_family = max(b_max_family, float((rate.values + amplitude * d.values).max()))
-    m = moment_exponent if moment_exponent is not None else minimal_moment_exponent(
-        base.lambda0, b_max_family
-    )
-    if base.lambda0 <= b_max_family / 2.0 ** (m - 1):
-        raise ValueError(f"moment exponent {m} violates the gap side condition")
+    m = minimal_moment_exponent(base.lambda0, b_max_family)
 
     x_m = grid.nodes ** m
     samples: list[GapSample] = []

@@ -17,7 +17,8 @@ Quadrature is the trapezoid rule, matching the piecewise-linear
 interpolation order. Derivatives are centered differences with one-sided
 second-order stencils at the two boundary nodes. The adjoint sweeps and
 the implicit marchers of the toy and inverse problems share one
-first-order linear recurrence.
+first-order linear recurrence; :func:`product_window` sizes the windows
+of its running products and of the direct march's integrating factor.
 """
 
 from __future__ import annotations
@@ -152,23 +153,28 @@ def double_sample_values(values: np.ndarray) -> np.ndarray:
 
 
 _TINY = float(np.finfo(float).tiny)  # smallest normal double
-# Range of the running product of per-step coefficients: outside it the
-# scaled sources s_k / P_k could overflow, or the product underflow.
-_PRODUCT_RANGE = (1e-100, 1e100)
-_LOG_MAX = float(np.log(np.finfo(float).max))
+# Largest factor by which a running product of coefficients may leave 1:
+# far inside the double range, so the scaled sources s_k / P_k stay finite.
+PRODUCT_LIMIT = 1e100
+
+
+def product_window(c: np.ndarray) -> int:
+    """Longest run of the positive coefficients ``c`` whose running product
+    stays within ``PRODUCT_LIMIT`` of 1, sized from the most extreme one;
+    ``c.size`` when every coefficient is 1."""
+    spread = max(-np.log(c.min()), np.log(c.max()))
+    return max(1, int(np.log(PRODUCT_LIMIT) / spread)) if spread > 0.0 else c.size
 
 
 def linear_recurrence(c, s: np.ndarray, x0: float = 0.0) -> np.ndarray:
     """All of ``x_k = c_k x_{k-1} + s_k`` with ``x_{-1} = x0``.
 
-    ``c`` is a constant ``0 <= c < 1`` or one nonnegative coefficient per
+    ``c`` is a constant ``0 <= c < 1`` or one positive coefficient per
     step. Per-step coefficients use the closed form
     ``x = P (x0 + cumsum(s / P))`` with the running product
-    ``P = cumprod(c)``, a few vector passes. Where ``P`` would leave
-    ``[1e-100, 1e100]`` (an exact zero included), that step is computed on
-    its own and a fresh product starts at the next one; each product is
-    taken over a window twice the previous segment and short enough not
-    to overflow, so the work stays linear. A constant coefficient uses
+    ``P = cumprod(c)``, a few vector passes per window of
+    :func:`product_window` steps; each window starts a fresh product from
+    the last value of the one before. A constant coefficient uses
     recursive doubling: after the pass at distance ``d`` every entry sums
     the last ``2 d`` sources weighted by ``c**d``, so at most
     ``log2(len(s))`` passes suffice, and fewer once ``c**d`` drops below
@@ -176,7 +182,18 @@ def linear_recurrence(c, s: np.ndarray, x0: float = 0.0) -> np.ndarray:
     """
     x = np.array(s, dtype=float)
     if np.ndim(c) > 0:
-        return _closed_form_recurrence(np.asarray(c, dtype=float), x, float(x0))
+        c = np.asarray(c, dtype=float)
+        window = product_window(c)
+        prev = float(x0)
+        for k in range(0, x.size, window):
+            P = np.multiply.accumulate(c[k : k + window])
+            seg = x[k : k + window]
+            seg[0] += c[k] * prev
+            seg /= P
+            np.add.accumulate(seg, out=seg)
+            seg *= P
+            prev = seg[-1]
+        return x
     p = float(c)
     x[0] += p * x0
     d = 1
@@ -184,36 +201,6 @@ def linear_recurrence(c, s: np.ndarray, x0: float = 0.0) -> np.ndarray:
         x[d:] += p * x[:-d]
         p *= p
         d *= 2
-    return x
-
-
-def _closed_form_recurrence(c: np.ndarray, x: np.ndarray, prev: float) -> np.ndarray:
-    """Per-step branch of :func:`linear_recurrence`; overwrites the sources ``x``."""
-    low, high = _PRODUCT_RANGE
-    # no window may overflow, even past the step where its product leaves the range
-    top = c[c.argmax()]
-    cap = max(1, int(_LOG_MAX / np.log(top))) if top > 1.0 else x.size
-    k, width = 0, x.size
-    while k < x.size:
-        # ufunc methods and argmin/argmax: cumprod, cumsum, min and max
-        # cost several microseconds per call, which short segments feel
-        P = np.multiply.accumulate(c[k : k + min(width, cap)])
-        m = P.size
-        if P[P.argmin()] < low or P[P.argmax()] > high:
-            m = int(((P < low) | (P > high)).argmax())
-        if m:
-            seg = x[k : k + m]
-            seg[0] += c[k] * prev
-            seg /= P[:m]
-            np.add.accumulate(seg, out=seg)
-            seg *= P[:m]
-            prev = seg[-1]
-        k += m
-        if m < P.size:  # the product leaves its range at step k
-            x[k] += c[k] * prev
-            prev = x[k]
-            k += 1
-        width = 2 * (m + 1)
     return x
 
 

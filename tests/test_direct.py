@@ -9,6 +9,7 @@ from celldiv.direct import (
     check_invariants,
     constant_b_series,
     constant_rate,
+    direct_residual,
     piecewise_rate,
     solve_adjoint,
     solve_direct,
@@ -265,8 +266,9 @@ def test_double_rate_growth_and_mean_size():
     assert mean_size == pytest.approx(0.5, abs=1e-4)
 
 
-def test_growth_rate_agrees_with_rate_average(unit_pair):
-    assert abs(unit_pair.lambda0 - unit_pair.lambda0_quad) <= 1e-6
+def test_growth_rate_agrees_with_rate_average(unit_pair, unit_rate, grid12):
+    lambda0_quad = trapezoid(unit_rate.values * unit_pair.N.values, grid12)
+    assert abs(unit_pair.lambda0 - lambda0_quad) <= 1e-6
 
 
 def test_direct_solve_rejects_bad_arguments():
@@ -282,8 +284,9 @@ def test_eigen_residual_refines_at_second_order():
     residuals = []
     for n in (512, 1024):
         grid = make_grid(12.0, n)
-        pair = solve_direct(constant_rate(grid, 1.0), tol=1e-11)
-        residuals.append(pair.residual_N)
+        rate = constant_rate(grid, 1.0)
+        pair = solve_direct(rate, tol=1e-11)
+        residuals.append(direct_residual(pair.N, rate, pair.lambda0))
     assert residuals[0] / residuals[1] >= 1.7
 
 
@@ -292,7 +295,7 @@ def test_adjoint_constant_rate_is_flat(unit_pair, grid12):
     assert phi is not None
     np.testing.assert_allclose(phi.values, 1.0, atol=1e-9)
     assert trapezoid(phi.values * unit_pair.N.values, grid12) == pytest.approx(1.0, abs=1e-12)
-    assert unit_pair.phi_growth is not None and np.isfinite(unit_pair.phi_growth)
+    assert np.isfinite(np.max(phi.values / (1.0 + grid12.nodes)))
 
 
 def test_adjoint_bump_rate_properties():
@@ -313,7 +316,7 @@ def test_adjoint_residual_refines_at_second_order():
         grid = make_grid(12.0, n)
         rate = bump_rate(grid, 1.0, 0.4, 2.0, 1.5)
         pair = solve_pair(rate, tol=1e-11)
-        residuals.append(pair.residual_phi)
+        residuals.append(adjoint_residual(pair.phi, rate, pair.lambda0))
     assert residuals[0] / residuals[1] >= 1.7
 
 
@@ -340,8 +343,9 @@ def test_adjoint_converges_in_64_sweeps_at_n4096(name):
 def test_adjoint_refinement_ladder():
     residuals = []
     for n in (1024, 2048, 4096, 8192, 16384, 32768, 65536):
-        pair = solve_pair(bump_rate(make_grid(12.0, n), 1.0, 0.4, 2.0, 1.5))
-        residuals.append(pair.residual_phi)
+        rate = bump_rate(make_grid(12.0, n), 1.0, 0.4, 2.0, 1.5)
+        pair = solve_pair(rate)
+        residuals.append(adjoint_residual(pair.phi, rate, pair.lambda0))
     ratios = np.array(residuals[:-1]) / np.array(residuals[1:])
     assert ratios.min() >= 3.5, ratios
 
@@ -397,6 +401,15 @@ def test_steep_rate_adjoint_stays_flat():
 def test_direct_solve_rejects_coarse_grid():
     with pytest.raises(ValueError, match="coarse.*lam_hi"):
         solve_direct(constant_rate(make_grid(12.0, 8), 1.0))
+
+
+def test_adjoint_rejects_coarse_grid():
+    # r = h/2 (lambda0 + B) >= 1 would turn the sweep coefficients (1 - r) / (mu + r) negative
+    grid = make_grid(12.0, 16)
+    rate = constant_rate(grid, 1.0)
+    N = solve_direct(rate).N
+    with pytest.raises(ValueError, match="grid too coarse"):
+        solve_adjoint(rate, 5.0, N)
 
 
 def test_pair_max_iters_caps_only_the_adjoint():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from celldiv.direct import constant_b_series
+from celldiv.fitting import fit_loglog_slope
 from celldiv.grid import GridFunction, half_sample_values, make_grid, norm
 from celldiv.harness import add_noise, default_filters
 from celldiv.inverse import (
@@ -153,6 +154,29 @@ def test_schemes_agree_to_first_order(unit_series, grid12):
         dfree = recover_rate(obs, 1e-2, "derivative-free")
         gaps[n] = norm(GridFunction(grid, fd.P.values - dfree.P.values)) / grid.spacing
     assert 0.5 <= gaps[2048] / gaps[4096] <= 2.0  # difference scales like h
+
+
+def test_consistency_slope_ladder():
+    # Noise-free slopes over the alphas of criterion 7. The derivative-free
+    # scheme substitutes (2/alpha) N(y/2), which needs h well below alpha:
+    # its slope climbs from 0.77 at n = 4096 and exceeds 0.99 from n = 32768
+    # (h = 3.7e-4 against alpha = 1e-3). direct-fd sits at 0.998 throughout.
+    alphas = [1e-3, 3.16e-3, 1e-2, 3.16e-2, 1e-1]
+    slopes = {"direct-fd": [], "derivative-free": []}
+    for n in (4096, 8192, 16384, 32768, 65536):
+        grid = make_grid(12.0, n)
+        series = constant_b_series(1.0, grid)
+        obs = clamp_observation(series, default_filters(series), truth=series, lambda0=1.0)
+        for scheme, ladder in slopes.items():
+            errs = [
+                rate_error_on_support(recover_rate(obs, a, scheme), _ones(grid), weight_values=series.values)
+                for a in alphas
+            ]
+            ladder.append(fit_loglog_slope(alphas, errs)[0])
+    dfree = np.array(slopes["derivative-free"])
+    assert np.all(np.diff(dfree) >= 0.0), dfree
+    assert dfree[-2:].min() >= 0.99, dfree
+    assert min(slopes["direct-fd"]) >= 0.99, slopes["direct-fd"]
 
 
 def test_weak_stability_identical_inputs(exact_obs):
