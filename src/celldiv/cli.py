@@ -94,7 +94,7 @@ def _cmd_gre(args) -> int:
     worst = 0.0
     for i, d in enumerate(directions):
         scaled = GridFunction(grid, args.amplitude * d.values)
-        pair = entropy.build_perturbation(rate, scaled, tol=args.tol, base=base)
+        pair = entropy.build_perturbation(rate, scaled, base, tol=args.tol)
         for probe in probes:
             lhs, rhs, scale = entropy.gre_terms(pair, probe)
             rel = abs(lhs - rhs) / max(scale, 1e-300)
@@ -189,7 +189,7 @@ def _cmd_invert(args) -> int:
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(_rate_table(grid.nodes, solve.rate, solve.defined))
-    rep = solve.report
+    rep = inverse.stability_report(solve, inverse.exact_product_source(solve.data, solve.lambda0))
     diag = {
         "alpha": solve.alpha,
         "scheme": solve.scheme,
@@ -316,9 +316,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if args.command == "sweep":
         overrides = {
             key: getattr(args, f"cfg_{key.replace('.', '_')}") for key in _CONFIG_KEYS

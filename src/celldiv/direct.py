@@ -495,13 +495,13 @@ def check_invariants(pair: EigenPair, rate: RateBounds) -> InvariantReport:
     checks["f2"] = InvariantCheck("f2", trapezoid(x * Nv, grid), 1.0 / lam, TOL_EQ, "eq")
     checks["f3"] = InvariantCheck("f3", float(Nv.max()), 2.0 * rate.b_max, 0.0, "le")
 
-    a = lam + 0.5 * rate.b_min
-    weighted = np.exp(a * x) * Nv
-    peak = float(weighted.max())
-    tail = float(weighted[-1] / peak) if peak > 0 else 0.0
+    # Weights in log space: e^{lam x} overflows where N has underflowed to 0.
+    log_n = np.log(Nv, out=np.full_like(Nv, -np.inf), where=Nv > 0)
+    w = (lam + 0.5 * rate.b_min) * x + log_n
+    tail = float(np.exp(w[-1] - w.max()))
     checks["f4"] = InvariantCheck("f4", tail, TOL_TAIL, 0.0, "le")
 
     checks["f5"] = InvariantCheck(
-        "f5", trapezoid(B * Nv * np.exp(lam * x), grid), 4.0 * lam, 0.0, "le"
+        "f5", trapezoid(B * np.exp(lam * x + log_n), grid), 4.0 * lam, 0.0, "le"
     )
     return InvariantReport(checks)

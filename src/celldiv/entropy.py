@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .direct import EigenPair, RateBounds, bump_values, solve_direct, solve_pair
+from .direct import EigenPair, RateBounds, bump_values, solve_direct
 from .grid import GridFunction, double_sample_values, norm, trapezoid
 
 __all__ = [
@@ -108,62 +108,48 @@ class PerturbationPair:
     """Eigen-elements of a base rate and a perturbed rate, with differences."""
 
     base_rate: RateBounds
-    perturbed_rate: RateBounds
     base: EigenPair
     perturbed: EigenPair
-    delta_rate: GridFunction
     delta: float  # L2 size of the rate perturbation
     delta_n: GridFunction
     delta_lambda: float
     delta_r: GridFunction
-    solvability_adjoint: float  # int phi dR (zero in exact arithmetic)
-    solvability_mass: float  # int dN (zero in exact arithmetic)
 
 
 def build_perturbation(
     rate: RateBounds,
     d_rate: GridFunction,
+    base: EigenPair,
     tol: float = 1e-10,
-    base: EigenPair | None = None,
 ) -> PerturbationPair:
-    """Solve base and perturbed problems and assemble the difference data.
+    """Solve the perturbed problem and assemble the difference data.
 
-    The base eigen-elements may be passed in to amortize repeated studies
-    against one rate; they must then include the adjoint profile.
+    ``base`` holds the eigen-elements of ``rate``, solved once by the
+    caller and shared across repeated studies against that rate. Only
+    :func:`gre_terms` reads its adjoint profile.
     """
     grid = rate.grid
     if d_rate.grid != grid:
         raise ValueError("perturbation sampled on a different grid")
-    if base is None:
-        base = solve_pair(rate, tol=tol)
-    if base.phi is None:
-        raise ValueError("base pair must carry the adjoint profile")
 
     perturbed_values = rate.values + d_rate.values
     if perturbed_values.min() <= 0.0:
         raise ValueError("perturbed rate violates positivity")
-    perturbed_rate = RateBounds.from_function(GridFunction(grid, perturbed_values))
-    perturbed = solve_direct(perturbed_rate, tol=tol)
+    perturbed = solve_direct(RateBounds.from_function(GridFunction(grid, perturbed_values)), tol=tol)
 
     d_lambda = perturbed.lambda0 - base.lambda0
-    d_n = GridFunction(grid, perturbed.N.values - base.N.values)
     d_r_values = 4.0 * double_sample_values(d_rate.values * perturbed.N.values) - (
         d_lambda + d_rate.values
     ) * perturbed.N.values
-    d_r = GridFunction(grid, d_r_values)
 
     return PerturbationPair(
         base_rate=rate,
-        perturbed_rate=perturbed_rate,
         base=base,
         perturbed=perturbed,
-        delta_rate=d_rate,
         delta=norm(d_rate),
-        delta_n=d_n,
+        delta_n=GridFunction(grid, perturbed.N.values - base.N.values),
         delta_lambda=d_lambda,
-        delta_r=d_r,
-        solvability_adjoint=trapezoid(base.phi.values * d_r_values, grid),
-        solvability_mass=trapezoid(d_n.values, grid),
+        delta_r=GridFunction(grid, d_r_values),
     )
 
 
@@ -178,8 +164,11 @@ def gre_terms(pair: PerturbationPair, probe: ConvexProbe) -> tuple[float, float,
     Cells in which a probe with a derivative jump crosses its threshold
     are integrated by splitting at the interpolated crossing point, so
     the quadrature keeps the second-order accuracy of the piecewise
-    linear field model instead of degrading to first order there.
+    linear field model instead of degrading to first order there. The
+    balance is weighted by ``pair.base.phi``, which only solve_pair fills.
     """
+    if pair.base.phi is None:
+        raise ValueError("base pair must carry the adjoint profile")
     grid = pair.base.N.grid
     h = grid.spacing
     N = pair.base.N.values
@@ -324,7 +313,7 @@ def gap_study(
     if not directions:
         raise ValueError("need at least one perturbation direction")
     grid = rate.grid
-    base = solve_pair(rate, tol=tol)
+    base = solve_direct(rate, tol=tol)  # the gap never reads the adjoint
 
     b_max_family = rate.b_max
     for d in directions:
@@ -337,7 +326,7 @@ def gap_study(
     samples: list[GapSample] = []
     for d in directions:
         scaled = GridFunction(grid, amplitude * d.values)
-        pair = build_perturbation(rate, scaled, tol=tol, base=base)
+        pair = build_perturbation(rate, scaled, base, tol=tol)
         dn_norm = norm(pair.delta_n)
         weighted = norm(GridFunction(grid, pair.delta_r.values * (1.0 + x_m)))
         if dn_norm == 0.0:

@@ -22,6 +22,7 @@ from .direct import solve_pair  # noqa: F401 (perfbench test_tracer_wraps_every_
 from .fitting import fit_loglog_slope
 from .grid import Grid, GridFunction, make_grid, read_csv, sobolev_norm
 from .inverse import (
+    SCHEMES,
     NoisyObservation,
     clamp_observation,
     recover_rate,
@@ -81,6 +82,8 @@ class ExperimentConfig:
         unknown = set(self.formats) - {"csv", "svg"}
         if unknown:
             raise ValueError(f"unknown output formats {sorted(unknown)}")
+        if self.scheme not in SCHEMES:
+            raise ValueError(f"unknown scheme {self.scheme!r}")
 
     def alpha_for(self, epsilon: float) -> float:
         if self.alpha_rule == "fixed":
@@ -173,7 +176,6 @@ class StudyReport:
     rows: list[StudyRow]
     slope: float | None
     slope_halfwidth: float | None
-    lambda0: float
     invariants_passed: bool
 
 
@@ -209,7 +211,6 @@ def convergence_study(cfg: ExperimentConfig, progress=None) -> StudyReport:
     pair = solve_direct(rate)  # the sweep never reads the adjoint
     report = check_invariants(pair, rate)
     truth_rate = rate.rate
-    lam = pair.lambda0
     h2 = sobolev_norm(pair.N)
 
     rows: list[StudyRow] = []
@@ -218,7 +219,7 @@ def convergence_study(cfg: ExperimentConfig, progress=None) -> StudyReport:
             alpha = cfg.alpha_for(eps)
             for seed in range(cfg.seeds):
                 t0 = time.perf_counter()
-                obs = add_noise(pair.N, eps, seed, lambda0=lam)
+                obs = add_noise(pair.N, eps, seed, lambda0=pair.lambda0)
                 solve = recover_rate(obs, alpha, cfg.scheme)
                 err_w = weighted_product_error(solve, truth_rate)
                 err_p = rate_error_on_support(solve, truth_rate)
@@ -233,7 +234,7 @@ def convergence_study(cfg: ExperimentConfig, progress=None) -> StudyReport:
                     break  # deterministic row, further seeds are identical
     except Exception:
         if rows and cfg.out_dir is not None:
-            partial = StudyReport(rows, None, None, lam, report.passed)
+            partial = StudyReport(rows, None, None, report.passed)
             emit_report(partial, cfg.out_dir, ("csv",), basename="sweep.partial")
         raise
 
@@ -241,7 +242,7 @@ def convergence_study(cfg: ExperimentConfig, progress=None) -> StudyReport:
     eligible = [(eps, err) for eps, err, count in _level_means(rows) if count >= 3]
     if len(eligible) >= 2:
         slope, halfwidth = fit_loglog_slope(*zip(*eligible))
-    return StudyReport(rows, slope, halfwidth, lam, report.passed)
+    return StudyReport(rows, slope, halfwidth, report.passed)
 
 
 def _csv_lines(report: StudyReport) -> list[str]:

@@ -22,8 +22,8 @@ never differentiated, only sampled at half and quarter arguments. On
 noise-free data the two agree to first order in the mesh width.
 
 Energy estimates for the marching problem (sup alpha P^2, mass and
-gradient bounds against the source) are collected in a
-:class:`StabilityReport` alongside their empirical constants.
+gradient bounds against the source) and their empirical constants are
+computed on request by :func:`stability_report`, not with every solve.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ __all__ = [
     "clamp_observation",
     "solve_regularized_general",
     "recover_rate",
+    "stability_report",
     "weak_stability_check",
     "estimate_lambda0",
     "exact_product_source",
@@ -66,33 +67,18 @@ RATE_SUPPORT_FLOOR = 1e-6
 
 @dataclass(frozen=True)
 class NoisyObservation:
-    """Observed size distribution with filter envelopes.
+    """Observed size distribution, as clamped by :func:`clamp_observation`.
 
-    ``data`` is the clamped observation, guaranteed to sit between the
-    ``lower`` and ``upper`` envelopes; the upper envelope vanishes at the
-    origin so the boundary condition of the recovery problem is well
-    defined. ``epsilon`` records the achieved L2 distance to the truth
-    when the truth was available (None otherwise), and ``lambda0`` the
-    supplied or estimated growth rate.
+    ``epsilon`` is the achieved L2 distance to the truth when the truth
+    was available (None otherwise); ``lambda0`` is the supplied growth
+    rate, or None to estimate it from the data.
     """
 
     data: GridFunction
     epsilon: float | None
-    lower: GridFunction
-    upper: GridFunction
     lambda0: float | None = None
 
     def __post_init__(self) -> None:
-        grid = self.data.grid
-        if self.lower.grid != grid or self.upper.grid != grid:
-            raise ValueError("filters must share the observation grid")
-        tol = 1e-12 * max(1.0, float(np.abs(self.data.values).max()))
-        if np.any(self.data.values < self.lower.values - tol) or np.any(
-            self.data.values > self.upper.values + tol
-        ):
-            raise ValueError("observation escapes its filter envelopes")
-        if self.upper.values[0] != 0.0:
-            raise ValueError("upper filter must vanish at the origin")
         if self.epsilon is not None and self.epsilon < 0.0:
             raise ValueError("noise level must be nonnegative")
 
@@ -113,20 +99,23 @@ def clamp_observation(
     """Clamp a raw observation into its filter envelopes.
 
     The filters encode what any admissible profile must satisfy, in
-    particular the zero boundary value at the origin; crossing filters are
-    rejected. When the truth is supplied the achieved post-clamp distance
-    is recorded as the observation's noise level.
+    particular the zero boundary value at the origin: an upper filter
+    that does not vanish there, or crossing filters, are rejected.
+    When the truth is supplied the achieved post-clamp distance is
+    recorded as the observation's noise level.
     """
     lower, upper = filters
     if lower.grid != raw.grid or upper.grid != raw.grid:
         raise ValueError("filters must share the observation grid")
+    if upper.values[0] != 0.0:
+        raise ValueError("upper filter must vanish at the origin")
     if np.any(lower.values > upper.values):
         raise ValueError("filter envelopes cross")
     clamped = raw.with_values(np.clip(raw.values, lower.values, upper.values))
     achieved = None
     if truth is not None:
         achieved = norm(raw.with_values(clamped.values - truth.values))
-    return NoisyObservation(clamped, achieved, lower, upper, lambda0)
+    return NoisyObservation(clamped, achieved, lambda0)
 
 
 def estimate_lambda0(obs: NoisyObservation) -> float:
@@ -149,7 +138,6 @@ class StabilityReport:
     (proof constant 4/11).
     """
 
-    alpha: float
     sup_alpha_p_sq: float
     int_p_sq: float
     int_f_sq: float
@@ -193,7 +181,6 @@ class RegularizedSolve:
     P: GridFunction
     rate: np.ndarray
     defined: np.ndarray
-    report: StabilityReport
     data: GridFunction
     lambda0: float
 
@@ -223,13 +210,16 @@ def _march(F: np.ndarray, alpha: float, h: float) -> np.ndarray:
     return P
 
 
-def _stability_report(P: np.ndarray, F: np.ndarray, alpha: float, grid: Grid) -> StabilityReport:
+def stability_report(solve: RegularizedSolve, F: np.ndarray) -> StabilityReport:
+    """Energy diagnostics of ``solve`` against the source values ``F``."""
+    grid = solve.grid
     h = grid.spacing
+    alpha = solve.alpha
+    P = solve.P.values
     dP = derivative_values(P, h)
     dF = derivative_values(F, h)
     f_scale = max(1.0, float(np.abs(F).max()))
     return StabilityReport(
-        alpha=alpha,
         sup_alpha_p_sq=alpha * float(np.max(P ** 2)),
         int_p_sq=trapezoid(P ** 2, grid),
         int_f_sq=trapezoid(F ** 2, grid),
@@ -241,7 +231,7 @@ def _stability_report(P: np.ndarray, F: np.ndarray, alpha: float, grid: Grid) ->
 
 
 def _with_rate(P: np.ndarray, data: GridFunction, alpha: float, scheme: str,
-               F: np.ndarray, lambda0: float) -> RegularizedSolve:
+               lambda0: float) -> RegularizedSolve:
     grid = data.grid
     dv = data.values
     floor = RATE_SUPPORT_FLOOR * float(dv.max())
@@ -254,7 +244,6 @@ def _with_rate(P: np.ndarray, data: GridFunction, alpha: float, scheme: str,
         P=GridFunction(grid, P),
         rate=rate,
         defined=defined,
-        report=_stability_report(P, F, alpha, grid),
         data=data,
         lambda0=lambda0,
     )
@@ -275,8 +264,7 @@ def solve_regularized_general(
     if N.grid != F.grid:
         raise ValueError("source and observation grids differ")
     P = _march(F.values, alpha, F.grid.spacing)
-    lam = float("nan")
-    return _with_rate(P, N, alpha, "general", F.values, lam)
+    return _with_rate(P, N, alpha, "general", float("nan"))
 
 
 def exact_product_source(data: GridFunction, lambda0: float) -> np.ndarray:
@@ -312,10 +300,9 @@ def recover_rate(
         raise ValueError("observation must vanish at the origin (filter violated)")
     h = data.grid.spacing
     lam = obs.growth_rate()
-    F = exact_product_source(data, lam)  # marched by direct-fd; diagnostics for both
 
     if scheme == "direct-fd":
-        P = _march(F, alpha, h)
+        P = _march(exact_product_source(data, lam), alpha, h)
     else:
         half = half_sample_values(data.values)
         quarter = half_sample_values(half)
@@ -323,7 +310,7 @@ def recover_rate(
         S = _march(F_s, alpha, h)
         P = S + (2.0 / alpha) * half
 
-    return _with_rate(P, data, alpha, scheme, F, lam)
+    return _with_rate(P, data, alpha, scheme, lam)
 
 
 def weak_stability_check(

@@ -28,6 +28,7 @@ from celldiv.inverse import (
     rate_error_on_support,
     recover_rate,
     solve_regularized_general,
+    stability_report,
     weak_stability_check,
 )
 from celldiv.toy import ToyProblem, toy_solve, toy_study
@@ -192,7 +193,7 @@ def test_criterion_6_energy_estimates(grid12, unit_series):
     for values in sources.values():
         F = GridFunction(grid12, values)
         for alpha in (1e-3, 1e-2, 1e-1):
-            rep = solve_regularized_general(unit_series, F, alpha).report
+            rep = stability_report(solve_regularized_general(unit_series, F, alpha), F.values)
             worst["sup"] = max(worst["sup"], rep.const_sup)
             worst["mass"] = max(worst["mass"], rep.const_mass)
             worst["combined"] = max(worst["combined"], rep.const_combined)

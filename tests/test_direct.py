@@ -392,6 +392,15 @@ def test_steep_rate_march_stays_finite():
     assert norm(GridFunction(grid, pair.N.values - series.values), order="L1") <= 3e-3
 
 
+def test_steep_rate_invariants_finite():
+    # lambda0 L = 800: e^{lambda0 x} overflows where N has underflowed to 0
+    grid = make_grid(40.0, 4096)
+    rate = constant_rate(grid, 20.0)
+    report = check_invariants(solve_direct(rate), rate)
+    assert np.isfinite(report.checks["f5"].lhs)
+    assert report.passed
+
+
 def test_steep_rate_adjoint_stays_flat():
     # the sweep coefficients multiply to about e^-1600 over [0, L]
     pair = solve_pair(constant_rate(make_grid(40.0, 16384), 20.0))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from celldiv.direct import bump_values, constant_rate, solve_pair
+from celldiv.direct import bump_values, constant_rate, solve_direct, solve_pair
 from celldiv.entropy import (
     ConvexProbe,
     build_perturbation,
@@ -62,10 +62,12 @@ def test_perturbation_solvability(small_grid, small_base):
     rate = constant_rate(small_grid, 1.0)
     pair = build_perturbation(rate, _bump(small_grid, 2.0, 1.5, 0.08), base=small_base)
     # both conditions hold at the discretization level
-    assert abs(pair.solvability_mass) <= 1e-12
-    assert abs(pair.solvability_adjoint) <= 1e-6
+    mass = trapezoid(pair.delta_n.values, small_grid)
+    adjoint = trapezoid(small_base.phi.values * pair.delta_r.values, small_grid)
+    assert abs(mass) <= 1e-12
+    assert abs(adjoint) <= 1e-6
     scale = norm(pair.delta_r)
-    assert abs(pair.solvability_adjoint) <= 1e-3 * scale
+    assert abs(adjoint) <= 1e-3 * scale
 
 
 def test_eigenvalue_shift_bound(small_grid, small_base):
@@ -88,6 +90,14 @@ def test_perturbation_rejects_inadmissible(small_grid, small_base):
     too_deep = GridFunction(small_grid, -1.5 * bump_values(small_grid.nodes, 2.0, 1.0))
     with pytest.raises(ValueError):
         build_perturbation(rate, too_deep, base=small_base)
+
+
+def test_gre_terms_rejects_base_without_adjoint(small_grid):
+    rate = constant_rate(small_grid, 1.0)
+    base = solve_direct(rate, tol=1e-11)
+    pair = build_perturbation(rate, _bump(small_grid, 2.0, 1.5, 0.08), base)
+    with pytest.raises(ValueError, match="adjoint profile"):
+        gre_terms(pair, ConvexProbe.square())
 
 
 def test_gre_balance_linear_probe_reduces_to_solvability(small_grid, small_base):

@@ -43,6 +43,12 @@ def test_config_validation():
     assert fixed.alpha_for(1e-3) == 0.05
 
 
+def test_config_rejects_unknown_scheme():
+    # rejected with the other settings, before any eigen-solve
+    with pytest.raises(ValueError, match="unknown scheme 'bogus'"):
+        ExperimentConfig("constant:1.0", 12.0, 1024, (1e-3,), scheme="bogus")
+
+
 @pytest.mark.parametrize("line", ["3,2,5", "3", "3,abc"])
 def test_parse_rate_spec_rejects_malformed_piecewise_line(tmp_path, line):
     pw = tmp_path / "steps.csv"
@@ -165,7 +171,7 @@ def test_emit_report_rejects_empty(tmp_path):
     from celldiv.harness import StudyReport
 
     with pytest.raises(ValueError):
-        emit_report(StudyReport([], None, None, 1.0, True), tmp_path)
+        emit_report(StudyReport([], None, None, True), tmp_path)
 
 
 def test_partial_results_persisted_on_failure(tmp_path):

@@ -13,6 +13,7 @@ from celldiv.inverse import (
     rate_error_on_support,
     recover_rate,
     solve_regularized_general,
+    stability_report,
     weak_stability_check,
     weighted_product_error,
 )
@@ -57,6 +58,13 @@ def test_clamp_rejects_crossed_filters(grid12, unit_series):
     lower, upper = default_filters(unit_series)
     with pytest.raises(ValueError, match="cross"):
         clamp_observation(unit_series, (upper, lower))
+
+
+def test_clamp_rejects_upper_filter_open_at_origin(grid12, unit_series):
+    lower, upper = default_filters(unit_series)
+    open_upper = upper.with_values(upper.values + 1.0)
+    with pytest.raises(ValueError, match="vanish at the origin"):
+        clamp_observation(unit_series, (lower, open_upper))
 
 
 def test_estimate_lambda0(grid12, unit_series):
@@ -120,7 +128,7 @@ def test_energy_estimates_manufactured_sources(grid12, unit_series):
     for values in sources:
         F = GridFunction(grid12, values)
         for alpha in (1e-3, 1e-2, 1e-1):
-            report = solve_regularized_general(unit_series, F, alpha).report
+            report = stability_report(solve_regularized_general(unit_series, F, alpha), F.values)
             assert report.const_sup <= 1.1
             assert report.const_mass <= 1.1
             assert report.const_combined <= 1.1
