@@ -62,7 +62,7 @@ def _cmd_direct(args) -> int:
     grid = make_grid(args.grid_length, args.grid_n)
     rate = harness.parse_rate_spec(args.bspec, grid)
     solve = solve_pair if args.which == "adjoint" else solve_direct
-    pair = solve(rate, tol=args.tol, max_iters=args.max_iters)
+    pair = solve(rate, tol=args.tol)
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
     profile = pair.phi if args.which == "adjoint" else pair.N
@@ -132,11 +132,17 @@ def _parse_probe(spec: str) -> entropy.ConvexProbe:
 
 
 def _cmd_toy(args) -> int:
-    grid = make_grid(args.grid_length, args.grid_n)
     if args.v == "x2":
+        grid = make_grid(
+            1.0 if args.grid_length is None else args.grid_length,
+            4096 if args.grid_n is None else args.grid_n,
+        )
         data = GridFunction(grid, grid.nodes ** 2)
         u_true = GridFunction(grid, 2.0 * grid.nodes)
     elif args.v.startswith("table:"):
+        if args.grid_length is not None or args.grid_n is not None:
+            raise SystemExit("--grid-length and --grid-n do not apply to --v table:<file>, "
+                             "whose grid is the table's")
         data = read_csv(args.v.split(":", 1)[1])
         grid = data.grid
         u_true = None
@@ -270,8 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     for which in ("direct", "adjoint"):
         p = sub.add_parser(which, help=f"solve the {which} eigenproblem")
         _add_grid_flags(p)
-        capped = "root-finder iterations" if which == "direct" else "adjoint sweeps (not the direct solve)"
-        p.add_argument("--max-iters", type=int, default=200, help=f"cap on the {capped}")
         p.add_argument("--output", required=True)
         p.set_defaults(func=_cmd_direct, which=which)
 
@@ -292,8 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--E", type=float, default=None)
     p.add_argument("--epsilons", default="1e-6,1e-5,1e-4,1e-3,1e-2")
     p.add_argument("--seeds", type=int, default=5)
-    p.add_argument("--grid-length", type=float, default=1.0)
-    p.add_argument("--grid-n", type=int, default=4096)
+    p.add_argument("--grid-length", type=float, default=None, help="default 1.0; --v x2 only")
+    p.add_argument("--grid-n", type=int, default=None, help="default 4096; --v x2 only")
     p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_toy)
 

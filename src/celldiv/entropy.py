@@ -135,7 +135,7 @@ def build_perturbation(
     perturbed_values = rate.values + d_rate.values
     if perturbed_values.min() <= 0.0:
         raise ValueError("perturbed rate violates positivity")
-    perturbed = solve_direct(RateBounds.from_function(GridFunction(grid, perturbed_values)), tol=tol)
+    perturbed = solve_direct(RateBounds(GridFunction(grid, perturbed_values)), tol=tol)
 
     d_lambda = perturbed.lambda0 - base.lambda0
     d_r_values = 4.0 * double_sample_values(d_rate.values * perturbed.N.values) - (
@@ -355,6 +355,8 @@ BUMP_WIDTHS = (0.4, 1.6)
 
 def random_bump_directions(grid, count: int, seed: int) -> list[GridFunction]:
     """Smooth compactly supported bump directions of either sign, unit peak height."""
+    if count < 1:
+        raise ValueError("need at least one perturbation direction")
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(count):

@@ -219,7 +219,7 @@ def write_csv(f: GridFunction, path: str | Path) -> Path:
 
 def read_csv(path: str | Path) -> GridFunction:
     """Load a grid function, validating the uniform-grid contract: header
-    ``x,value``, then at least ``MIN_INTERVALS + 1`` rows of two numbers
+    ``x,value``, then at least ``MIN_INTERVALS + 1`` rows of two finite numbers
     whose abscissae start at 0 and are uniformly spaced; blank lines are skipped."""
     path = Path(path)
     head, _, body = path.read_text().lstrip().partition("\n")
@@ -232,6 +232,10 @@ def read_csv(path: str | Path) -> GridFunction:
         table = None
     if table is None or table.shape[1] != 2:
         raise ValueError(f"{path}: malformed row {_malformed_row(body)!r}")
+    finite = np.isfinite(table).all(axis=1)
+    if not finite.all():
+        row = [ln for ln in body.splitlines() if ln.strip()][int(np.argmin(finite))]
+        raise ValueError(f"{path}: non-finite value in row {row!r}")
     if len(table) < MIN_INTERVALS + 1:
         raise ValueError(f"{path}: too few rows for a valid grid")
     x, v = table[:, 0], table[:, 1]

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .direct import RateBounds, check_invariants, piecewise_rate, solve_direct
+from .direct import RateBounds, check_invariants, constant_rate, piecewise_rate, solve_direct
 from .direct import solve_pair  # noqa: F401 (perfbench test_tracer_wraps_every_lookup_and_reports_absent_names)
 from .fitting import fit_loglog_slope
 from .grid import Grid, GridFunction, make_grid, read_csv, sobolev_norm
@@ -37,7 +37,6 @@ __all__ = [
     "StudyReport",
     "CSV_SCHEMA",
     "parse_rate_spec",
-    "default_domain_length",
     "default_filters",
     "add_noise",
     "convergence_study",
@@ -96,11 +95,6 @@ class ExperimentConfig:
         return make_grid(self.grid_length, self.grid_n)
 
 
-def default_domain_length(rate_scale: float) -> float:
-    """Domain long enough that the profile tail is below 1e-12 of its peak."""
-    return float(np.ceil(28.0 / rate_scale))
-
-
 def parse_rate_spec(spec: str, grid: Grid) -> RateBounds:
     """Rate from a spec string: constant:<v>, piecewise:<file>, table:<file>.
 
@@ -110,8 +104,6 @@ def parse_rate_spec(spec: str, grid: Grid) -> RateBounds:
     """
     kind, _, arg = spec.partition(":")
     if kind == "constant":
-        from .direct import constant_rate
-
         return constant_rate(grid, float(arg))
     if kind == "piecewise":
         rows = []
@@ -131,7 +123,7 @@ def parse_rate_spec(spec: str, grid: Grid) -> RateBounds:
         f = read_csv(arg)
         if f.grid != grid:
             raise ValueError(f"{arg}: table grid does not match the target grid")
-        return RateBounds.from_function(f)
+        return RateBounds(f)
     raise ValueError(f"unknown rate spec {spec!r}")
 
 
@@ -198,7 +190,7 @@ def _level_means(rows: list[StudyRow]) -> list[tuple[float, float, int]]:
     return out
 
 
-def convergence_study(cfg: ExperimentConfig, progress=None) -> StudyReport:
+def convergence_study(cfg: ExperimentConfig) -> StudyReport:
     """Run the full sweep described by a configuration.
 
     Rows are ordered by (epsilon descending, alpha, seed). The slope is
@@ -224,12 +216,9 @@ def convergence_study(cfg: ExperimentConfig, progress=None) -> StudyReport:
                 err_w = weighted_product_error(solve, truth_rate)
                 err_p = rate_error_on_support(solve, truth_rate)
                 ms = int(round(1000.0 * (time.perf_counter() - t0)))
-                achieved = obs.epsilon if obs.epsilon is not None else eps
                 rows.append(
-                    StudyRow(achieved, alpha, seed, err_w, err_p, h2, ms, nominal_epsilon=eps)
+                    StudyRow(obs.epsilon, alpha, seed, err_w, err_p, h2, ms, nominal_epsilon=eps)
                 )
-                if progress is not None:
-                    progress(rows[-1])
                 if eps == 0.0:
                     break  # deterministic row, further seeds are identical
     except Exception:

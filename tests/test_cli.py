@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
+import celldiv.direct
 from celldiv.cli import _rate_table, main
 from celldiv.direct import bump_rate
-from celldiv.grid import make_grid, read_csv, write_csv
+from celldiv.grid import GridFunction, make_grid, read_csv, write_csv
 
 
 def test_direct_subcommand(tmp_path):
@@ -31,11 +32,21 @@ def test_direct_subcommand(tmp_path):
     assert meta["phi_growth"] is None
 
 
-def test_direct_max_iters_caps_root_iterations(tmp_path):
+def test_direct_max_iters_caps_root_iterations(tmp_path, monkeypatch):
+    monkeypatch.setattr(celldiv.direct, "_MAX_MARCHES", 2)
     out = tmp_path / "profile.csv"
-    with pytest.raises(RuntimeError, match="converge"):
-        main(["direct", "--bspec", "constant:1.0", "--grid-n", "512", "--max-iters", "2",
-              "--output", str(out)])
+    with pytest.raises(RuntimeError, match="direct solve did not converge in 2 iterations"):
+        main(["direct", "--bspec", "constant:1.0", "--grid-n", "512", "--output", str(out)])
+
+
+@pytest.mark.parametrize("which", ["direct", "adjoint"])
+def test_eigen_subcommands_reject_max_iters(tmp_path, capsys, which):
+    # the caps are fixed in celldiv.direct; no flag sets them
+    out = tmp_path / "profile.csv"
+    with pytest.raises(SystemExit) as exc:
+        main([which, "--bspec", "constant:1.0", "--max-iters", "5", "--output", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --max-iters 5" in capsys.readouterr().err
 
 
 def test_direct_tol_sets_root_iterations(tmp_path):
@@ -64,21 +75,22 @@ def test_adjoint_subcommand(tmp_path):
     np.testing.assert_allclose(phi.values, 1.0, atol=1e-6)
 
 
-def test_adjoint_max_iters_caps_sweeps(tmp_path):
+def test_adjoint_max_iters_caps_sweeps(tmp_path, monkeypatch):
+    monkeypatch.setattr(celldiv.direct, "_MAX_SWEEPS", 2)
     rate = tmp_path / "rate.txt"
     rate.write_text("0,1\n3,2\n")
-    with pytest.raises(RuntimeError, match="adjoint solve did not converge"):
-        main(["adjoint", "--bspec", f"piecewise:{rate}", "--max-iters", "2",
-              "--output", str(tmp_path / "phi.csv")])
+    with pytest.raises(RuntimeError, match="adjoint solve did not converge in 2 iterations"):
+        main(["adjoint", "--bspec", f"piecewise:{rate}", "--output", str(tmp_path / "phi.csv")])
 
 
-def test_adjoint_tight_tol_converges_in_64_sweeps_at_n65536(tmp_path):
+def test_adjoint_tight_tol_converges_in_64_sweeps_at_n65536(tmp_path, monkeypatch):
+    monkeypatch.setattr(celldiv.direct, "_MAX_SWEEPS", 64)
     # tol * h = 1.8e-16 is below the round-off of the sweeps
     rate = tmp_path / "bump.csv"
     write_csv(bump_rate(make_grid(12.0, 65536), 1.0, 0.4, 2.0, 1.5).rate, rate)
     out = tmp_path / "phi.csv"
     main(["adjoint", "--bspec", f"table:{rate}", "--grid-n", "65536", "--tol", "1e-12",
-          "--max-iters", "64", "--output", str(out)])
+          "--output", str(out)])
     assert read_csv(out).values.min() > 0.0
 
 
@@ -100,6 +112,16 @@ def test_toy_subcommand(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "epsilon,seed,alpha,error,bound,pass"
     assert len(lines) == 5  # two levels, two seeds
+
+
+@pytest.mark.parametrize("flag", [["--grid-n", "64"], ["--grid-length", "5"]])
+def test_toy_table_data_rejects_grid_flags(tmp_path, flag):
+    # the table carries its grid; a grid flag would be ignored
+    data = tmp_path / "v.csv"
+    grid = make_grid(1.0, 256)
+    write_csv(GridFunction(grid, grid.nodes ** 2), data)
+    with pytest.raises(SystemExit, match="do not apply to --v table"):
+        main(["toy", "--v", f"table:{data}", *flag, "--output", str(tmp_path / "toy.csv")])
 
 
 def test_invert_subcommand(tmp_path):
@@ -293,6 +315,15 @@ def test_gap_rejects_max_iters(tmp_path, capsys):
         main(["gap", "--bspec", "constant:1.0", "--max-iters", "5", "--output", str(out)])
     assert exc.value.code == 2
     assert "--max-iters" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("which", ["gre", "gap"])
+def test_studies_reject_zero_directions(tmp_path, which):
+    out = tmp_path / f"{which}.csv"
+    with pytest.raises(ValueError, match="need at least one perturbation direction"):
+        main([which, "--bspec", "constant:1.0", "--grid-n", "256", "--directions", "0",
+              "--output", str(out)])
+    assert not out.exists()
 
 
 def test_gap_rejects_probe(tmp_path, capsys):

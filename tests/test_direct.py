@@ -3,6 +3,7 @@ import pytest
 
 import celldiv.direct
 from celldiv.direct import (
+    RateBounds,
     _shoot,
     adjoint_residual,
     bump_rate,
@@ -162,6 +163,18 @@ def test_piecewise_rate_cell_average_at_jump():
     assert rate.b_min == 1.0 and rate.b_max == 2.0
 
 
+def test_rate_bounds_are_read_from_the_samples():
+    grid = make_grid(4.0, 64)  # h = 1/16
+    bump = bump_rate(grid, 1.0, 0.4, 2.0, 1.5)
+    assert (bump.b_min, bump.b_max) == (1.0, float(bump.values.max()))
+    # a piece narrower than a cell enters the samples, and the bounds, averaged
+    narrow = piecewise_rate(grid, [0.0, 2.0, 2.01], [1.0, 3.0, 1.0])
+    assert narrow.b_max == pytest.approx(1.32) and narrow.b_max == narrow.values.max()
+    assert narrow.b_min == 1.0
+    with pytest.raises(ValueError, match="strictly positive"):
+        RateBounds(GridFunction(grid, np.linspace(0.0, 1.0, 65)))
+
+
 def piecewise_rate_loop(grid, breakpoints, values):
     """Reference for :func:`piecewise_rate`: every node's cell average,
     summed over all pieces."""
@@ -223,8 +236,6 @@ def test_series_coefficient_ratios():
 def test_series_rejects_degenerate():
     grid = make_grid(6.0, 64)
     with pytest.raises(ValueError):
-        constant_b_series(1.0, grid, terms=1)
-    with pytest.raises(ValueError):
         constant_b_series(0.0, grid)
 
 
@@ -276,8 +287,12 @@ def test_direct_solve_rejects_bad_arguments():
     rate = constant_rate(grid, 1.0)
     with pytest.raises(ValueError):
         solve_direct(rate, tol=0.0)
-    with pytest.raises(RuntimeError, match="converge"):
-        solve_direct(rate, max_iters=3)
+
+
+def test_direct_solve_fails_loudly_at_its_march_cap(monkeypatch):
+    monkeypatch.setattr(celldiv.direct, "_MAX_MARCHES", 3)
+    with pytest.raises(RuntimeError, match="direct solve did not converge in 3 iterations"):
+        solve_direct(constant_rate(make_grid(6.0, 256), 1.0))
 
 
 def test_eigen_residual_refines_at_second_order():
@@ -332,11 +347,12 @@ def test_adjoint_sweeps_match_power_iteration(name, n):
 
 
 @pytest.mark.parametrize("name", ACCEPTANCE_RATES)
-def test_adjoint_converges_in_64_sweeps_at_n4096(name):
+def test_adjoint_converges_in_64_sweeps_at_n4096(name, monkeypatch):
     # unit-CFL stepping would need thousands of steps at n = 4096
+    monkeypatch.setattr(celldiv.direct, "_MAX_SWEEPS", 64)
     rate = ACCEPTANCE_RATES[name](make_grid(12.0, 4096))
     pair = solve_direct(rate)
-    phi = solve_adjoint(rate, pair.lambda0, pair.N, max_iters=64)
+    phi = solve_adjoint(rate, pair.lambda0, pair.N)
     assert phi.values.min() > 0.0
 
 
@@ -421,13 +437,14 @@ def test_adjoint_rejects_coarse_grid():
         solve_adjoint(rate, 5.0, N)
 
 
-def test_pair_max_iters_caps_only_the_adjoint():
+def test_pair_max_iters_caps_only_the_adjoint(monkeypatch):
     # Three steps suffice for neither solve on a bump, whose adjoint takes
     # about 30 sweeps at n = 256 (B = 1 would make phi = 1 exact at once):
-    # the cap must reach the adjoint's sweeps and leave the direct root
+    # the sweep cap must reach the adjoint and leave the direct root
     # search alone.
-    with pytest.raises(RuntimeError, match="adjoint solve did not converge"):
-        solve_pair(bump_rate(make_grid(12.0, 256), 1.0, 0.4, 2.0, 1.5), max_iters=3)
+    monkeypatch.setattr(celldiv.direct, "_MAX_SWEEPS", 3)
+    with pytest.raises(RuntimeError, match="adjoint solve did not converge in 3 iterations"):
+        solve_pair(bump_rate(make_grid(12.0, 256), 1.0, 0.4, 2.0, 1.5))
 
 
 def test_residual_without_sign_change_fails_loudly(monkeypatch):

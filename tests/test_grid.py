@@ -247,6 +247,13 @@ def test_csv_rejects_malformed_row(tmp_path, k, row):
         read_csv(path)
 
 
+@pytest.mark.parametrize(("k", "row"), [(4, "0.5,nan"), (6, "0.75,inf"), (2, "nan,2.0")])
+def test_csv_rejects_non_finite_row(tmp_path, k, row):
+    path = _csv_with_row(tmp_path, k, row)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: non-finite value in row {re.escape(repr(row))}$"):
+        read_csv(path)
+
+
 def test_csv_rejects_single_column_table(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("x,value\n" + "".join(f"{0.125 * i}\n" for i in range(9)))

@@ -3,14 +3,15 @@ import re
 import numpy as np
 import pytest
 
+import celldiv.harness
 from celldiv.direct import check_invariants, solve_pair
+from celldiv.inverse import recover_rate
 from celldiv.grid import make_grid, norm
 from celldiv.harness import (
     CSV_SCHEMA,
     ExperimentConfig,
     add_noise,
     convergence_study,
-    default_domain_length,
     emit_report,
     parse_rate_spec,
 )
@@ -55,11 +56,6 @@ def test_parse_rate_spec_rejects_malformed_piecewise_line(tmp_path, line):
     pw.write_text(f"0.0,1.0\n{line}\n")
     with pytest.raises(ValueError, match=f"^{re.escape(str(pw))}: malformed piecewise line {re.escape(repr(line))}$"):
         parse_rate_spec(f"piecewise:{pw}", make_grid(4.0, 64))
-
-
-def test_default_domain_length():
-    L = default_domain_length(1.0)
-    assert np.exp(-L) < 1e-12
 
 
 def test_parse_rate_spec(tmp_path):
@@ -174,7 +170,7 @@ def test_emit_report_rejects_empty(tmp_path):
         emit_report(StudyReport([], None, None, True), tmp_path)
 
 
-def test_partial_results_persisted_on_failure(tmp_path):
+def test_partial_results_persisted_on_failure(tmp_path, monkeypatch):
     cfg = ExperimentConfig(
         bspec="constant:1.0",
         grid_length=12.0,
@@ -184,13 +180,17 @@ def test_partial_results_persisted_on_failure(tmp_path):
         out_dir=str(tmp_path),
     )
 
-    def explode_after_two(row, seen=[]):
-        seen.append(row)
-        if len(seen) == 2:
-            raise RuntimeError("simulated mid-sweep failure")
+    calls = []
 
+    def explode_on_third(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise RuntimeError("simulated mid-sweep failure")
+        return recover_rate(*args)
+
+    monkeypatch.setattr(celldiv.harness, "recover_rate", explode_on_third)
     with pytest.raises(RuntimeError, match="mid-sweep"):
-        convergence_study(cfg, progress=explode_after_two)
+        convergence_study(cfg)
     partial = (tmp_path / "sweep.partial.csv").read_text().splitlines()
     assert partial[0] == CSV_SCHEMA
     assert len(partial) == 3  # header + the two completed rows
