@@ -95,6 +95,8 @@ def _cmd_gre(args) -> int:
     for i, d in enumerate(directions):
         scaled = GridFunction(grid, args.amplitude * d.values)
         pair = entropy.build_perturbation(rate, scaled, base, tol=args.tol)
+        if not pair.delta_n.values.any():  # every row would be a vacuous 0 / 0
+            raise ValueError("direction produced no profile shift; ratio undefined")
         for probe in probes:
             lhs, rhs, scale = entropy.gre_terms(pair, probe)
             rel = abs(lhs - rhs) / max(scale, 1e-300)

@@ -18,7 +18,8 @@ interpolation order. Derivatives are centered differences with one-sided
 second-order stencils at the two boundary nodes. The adjoint sweeps and
 the implicit marchers of the toy and inverse problems share one
 first-order linear recurrence; :func:`product_window` sizes the windows
-of its running products and of the direct march's integrating factor.
+of its running products, the rows of its constant-coefficient closed form
+and the windows of the direct march's integrating factor.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ class GridFunction:
         expected = (self.grid.intervals + 1,)
         if values.shape != expected:
             raise ValueError(f"expected {expected[0]} node values, got shape {values.shape}")
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise ValueError("grid function values must all be finite")
         values = values.copy()
         values.flags.writeable = False
@@ -100,6 +101,11 @@ def norm(f: GridFunction, weight: np.ndarray | None = None, order: str = "L2") -
     if order == "L2":
         return float(np.sqrt(max(trapezoid(f.values ** 2 * w, f.grid), 0.0)))
     raise ValueError(f"unknown norm order {order!r}")
+
+
+def l2_norm(values: np.ndarray, grid: Grid) -> float:
+    """Unweighted L2 :func:`norm` of nodal values, without wrapping them."""
+    return float(np.sqrt(max(trapezoid(values * values, grid), 0.0)))
 
 
 def derivative(f: GridFunction) -> GridFunction:
@@ -132,14 +138,16 @@ def sobolev_norm(f: GridFunction) -> float:
     return float(np.sqrt(norm(f) ** 2 + seminorm(f, "H1") ** 2 + seminorm(f, "H2") ** 2))
 
 
-def half_sample_values(values: np.ndarray) -> np.ndarray:
-    """All half-argument samples at once: ``out[j] = f(x_j / 2)``."""
+def half_sample_values(values: np.ndarray, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """Half-argument samples ``out[j - lo] = f(x_j / 2)`` for ``lo <= j <= hi``,
+    every node by default; they read nodes ``lo // 2`` to ``(hi + 1) // 2`` only."""
     v = np.asarray(values, dtype=float)
-    n = v.size - 1
-    out = np.empty_like(v)
-    out[0::2] = v[: n // 2 + 1]
-    odd = (n + 1) // 2  # number of odd indices in 0..n
-    out[1::2] = 0.5 * (v[:odd] + v[1 : odd + 1])
+    hi = v.size - 1 if hi is None else hi
+    out = np.empty(hi - lo + 1)
+    even = lo + lo % 2  # first even and odd j from lo on
+    odd = lo + 1 - lo % 2
+    out[even - lo :: 2] = v[even // 2 : hi // 2 + 1]
+    out[odd - lo :: 2] = 0.5 * (v[odd // 2 : (hi + 1) // 2] + v[odd // 2 + 1 : (hi + 1) // 2 + 1])
     return out
 
 
@@ -169,39 +177,84 @@ def product_window(c: np.ndarray) -> int:
 def linear_recurrence(c, s: np.ndarray, x0: float = 0.0) -> np.ndarray:
     """All of ``x_k = c_k x_{k-1} + s_k`` with ``x_{-1} = x0``.
 
-    ``c`` is a constant ``0 <= c < 1`` or one positive coefficient per
-    step. Per-step coefficients use the closed form
-    ``x = P (x0 + cumsum(s / P))`` with the running product
+    ``c`` is a constant ``0 <= c < 1`` (solved by :func:`constant_recurrence`)
+    or one positive coefficient per step. Per-step coefficients use the
+    closed form ``x = P (x0 + cumsum(s / P))`` with the running product
     ``P = cumprod(c)``, a few vector passes per window of
     :func:`product_window` steps; each window starts a fresh product from
-    the last value of the one before. A constant coefficient uses
-    recursive doubling: after the pass at distance ``d`` every entry sums
-    the last ``2 d`` sources weighted by ``c**d``, so at most
-    ``log2(len(s))`` passes suffice, and fewer once ``c**d`` drops below
-    the smallest normal double (later terms would be subnormal and slow).
+    the last value of the one before.
     """
+    if np.ndim(c) == 0:
+        return constant_recurrence(float(c), np.size(s))(s, x0)
     x = np.array(s, dtype=float)
-    if np.ndim(c) > 0:
-        c = np.asarray(c, dtype=float)
-        window = product_window(c)
-        prev = float(x0)
-        for k in range(0, x.size, window):
-            P = np.multiply.accumulate(c[k : k + window])
-            seg = x[k : k + window]
-            seg[0] += c[k] * prev
-            seg /= P
-            np.add.accumulate(seg, out=seg)
-            seg *= P
-            prev = seg[-1]
-        return x
-    p = float(c)
-    x[0] += p * x0
+    c = np.asarray(c, dtype=float)
+    window = product_window(c)
+    prev = float(x0)
+    for k in range(0, x.size, window):
+        P = np.multiply.accumulate(c[k : k + window])
+        seg = x[k : k + window]
+        seg[0] += c[k] * prev
+        seg /= P
+        np.add.accumulate(seg, out=seg)
+        seg *= P
+        prev = seg[-1]
+    return x
+
+
+def constant_recurrence(c: float, size: int):
+    """Solver ``(s, x0) -> x`` of ``x_k = c x_{k-1} + s_k``, ``x_{-1} = x0``,
+    for one constant ``0 <= c < 1`` and up to ``size`` steps.
+
+    The powers of ``c`` are formed here, once for every call of the
+    solver. A call cuts its steps into rows of ``W`` steps, ``W`` from
+    :func:`product_window`, so that ``c**-k`` stays below
+    ``PRODUCT_LIMIT`` within a row. Every row is the closed form
+    ``x_k = c**k (c x_prev + cumsum(s_j c**-j))`` from the last value
+    ``x_prev`` of the row before; one accumulate serves all rows. The row
+    ends are chained by recursive doubling on ``c**W``, which is below
+    ``1 / (c PRODUCT_LIMIT)``: at most three passes reach the smallest
+    normal double, where the chain stops (later terms would be subnormal
+    and slow).
+    """
+    width = product_window(np.array([c])) if c > 0.0 else 1  # c = 0: x_k = s_k
+    width = min(width, max(size, 1))
+    powers = c ** np.arange(width + 1.0)
+    inverse = 1.0 / powers[:width]
+
+    def solve(s: np.ndarray, x0: float = 0.0) -> np.ndarray:
+        steps = len(s)
+        if steps <= width:  # one row
+            x = s * inverse[:steps]
+            x[0] += c * x0
+            np.add.accumulate(x, out=x)
+            x *= powers[:steps]
+            return x
+        rows = -(-steps // width)
+        t = np.zeros((rows, width))
+        t.reshape(-1)[:steps] = s
+        t *= inverse
+        np.add.accumulate(t, axis=1, out=t)
+        starts = np.full(rows, float(x0))  # x before each row
+        _doubling(powers[width], t[:-1, -1] * powers[width - 1], starts[1:], x0)
+        t += c * starts[:, None]
+        t *= powers[:width]
+        return t.reshape(-1)[:steps]
+
+    return solve
+
+
+def _doubling(p: float, s: np.ndarray, out: np.ndarray, x0: float) -> None:
+    """``out[k] = p out[k-1] + s[k]`` with ``out[-1] = x0``, by recursive
+    doubling: after the pass at distance ``d`` every entry sums the last
+    ``2 d`` sources weighted by ``p**d``; it stops once ``p**d`` drops
+    below the smallest normal double."""
+    out[:] = s
+    out[0] += p * x0
     d = 1
-    while d < x.size and p >= _TINY:
-        x[d:] += p * x[:-d]
+    while d < out.size and p >= _TINY:
+        out[d:] += p * out[:-d]
         p *= p
         d *= 2
-    return x
 
 
 CSV_HEADER = "x,value"

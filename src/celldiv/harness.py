@@ -23,13 +23,14 @@ from .fitting import fit_loglog_slope
 from .grid import Grid, GridFunction, make_grid, read_csv, sobolev_norm
 from .inverse import (
     SCHEMES,
+    Filters,
     NoisyObservation,
     clamp_observation,
     recover_rate,
     rate_error_on_support,
     weighted_product_error,
 )
-from .noise import perturbed
+from .noise import UnitNoise, perturbed, unit_noise
 
 __all__ = [
     "ExperimentConfig",
@@ -127,28 +128,33 @@ def parse_rate_spec(spec: str, grid: Grid) -> RateBounds:
     raise ValueError(f"unknown rate spec {spec!r}")
 
 
-def default_filters(truth: GridFunction) -> tuple[GridFunction, GridFunction]:
+def default_filters(truth: GridFunction) -> Filters:
     """Zero lower envelope and a scaled-truth upper envelope."""
     lower = truth.with_values(np.zeros_like(truth.values))
     upper_values = FILTER_MULTIPLE * np.maximum(truth.values, 0.0)
     upper_values[0] = 0.0
-    return lower, truth.with_values(upper_values)
+    return Filters(lower, truth.with_values(upper_values))
 
 
 def add_noise(
     truth: GridFunction,
     epsilon: float,
-    seed: int,
+    seed: int | UnitNoise,
     lambda0: float | None = None,
+    filters: Filters | None = None,
 ) -> NoisyObservation:
     """Noisy observation of a known profile, clamped into its default envelopes.
 
     The raw perturbation sits at exact L2 distance epsilon from the
     truth; the recorded noise level is the post-clamp distance, which is
-    what any error analysis downstream should use.
+    what any error analysis downstream should use. A study passes each
+    seed's :class:`UnitNoise` and the ``default_filters(truth)`` it
+    built once, so that a cell neither redraws nor rechecks them.
     """
     raw = perturbed(truth, epsilon, seed)
-    return clamp_observation(raw, default_filters(truth), truth=truth, lambda0=lambda0)
+    if filters is None:
+        filters = default_filters(truth)
+    return clamp_observation(raw, filters, truth=truth, lambda0=lambda0)
 
 
 @dataclass(frozen=True)
@@ -199,11 +205,16 @@ def convergence_study(cfg: ExperimentConfig) -> StudyReport:
     fails mid-sweep, the rows computed so far are persisted to the
     configured output directory before the error propagates.
     """
-    rate = parse_rate_spec(cfg.bspec, cfg.grid())
+    grid = cfg.grid()
+    rate = parse_rate_spec(cfg.bspec, grid)
     pair = solve_direct(rate)  # the sweep never reads the adjoint
     report = check_invariants(pair, rate)
     truth_rate = rate.rate
     h2 = sobolev_norm(pair.N)
+    # Built once per study: the filters, and each seed's noise draw, which
+    # every level rescales (a noise-free study draws none).
+    filters = default_filters(pair.N)
+    draws = [unit_noise(grid, seed) for seed in range(cfg.seeds)] if cfg.epsilons[0] > 0.0 else []
 
     rows: list[StudyRow] = []
     try:
@@ -211,7 +222,8 @@ def convergence_study(cfg: ExperimentConfig) -> StudyReport:
             alpha = cfg.alpha_for(eps)
             for seed in range(cfg.seeds):
                 t0 = time.perf_counter()
-                obs = add_noise(pair.N, eps, seed, lambda0=pair.lambda0)
+                noise = draws[seed] if draws else seed
+                obs = add_noise(pair.N, eps, noise, lambda0=pair.lambda0, filters=filters)
                 solve = recover_rate(obs, alpha, cfg.scheme)
                 err_w = weighted_product_error(solve, truth_rate)
                 err_p = rate_error_on_support(solve, truth_rate)

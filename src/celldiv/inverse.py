@@ -36,14 +36,15 @@ from .grid import (
     Grid,
     GridFunction,
     derivative_values,
+    constant_recurrence,
     half_sample_values,
-    linear_recurrence,
-    norm,
+    l2_norm,
     trapezoid,
 )
 
 __all__ = [
     "NoisyObservation",
+    "Filters",
     "StabilityReport",
     "RegularizedSolve",
     "SCHEMES",
@@ -90,6 +91,25 @@ class NoisyObservation:
         return self.lambda0 if self.lambda0 is not None else estimate_lambda0(self)
 
 
+class Filters(tuple):
+    """The pair ``(lower, upper)`` of filter envelopes, checked once when built.
+
+    The filters encode what any admissible profile must satisfy, in
+    particular the zero boundary value at the origin: an upper filter
+    that does not vanish there, filters on two grids, or crossing filters
+    are rejected.
+    """
+
+    def __new__(cls, lower: GridFunction, upper: GridFunction) -> "Filters":
+        if lower.grid != upper.grid:
+            raise ValueError("filters must share the observation grid")
+        if upper.values[0] != 0.0:
+            raise ValueError("upper filter must vanish at the origin")
+        if np.any(lower.values > upper.values):
+            raise ValueError("filter envelopes cross")
+        return super().__new__(cls, (lower, upper))
+
+
 def clamp_observation(
     raw: GridFunction,
     filters: tuple[GridFunction, GridFunction],
@@ -98,23 +118,18 @@ def clamp_observation(
 ) -> NoisyObservation:
     """Clamp a raw observation into its filter envelopes.
 
-    The filters encode what any admissible profile must satisfy, in
-    particular the zero boundary value at the origin: an upper filter
-    that does not vanish there, or crossing filters, are rejected.
-    When the truth is supplied the achieved post-clamp distance is
-    recorded as the observation's noise level.
+    ``filters`` is a :class:`Filters`, or a plain ``(lower, upper)`` pair
+    that is checked as one on every call. When the truth is supplied the
+    achieved post-clamp distance is recorded as the observation's noise
+    level.
     """
-    lower, upper = filters
-    if lower.grid != raw.grid or upper.grid != raw.grid:
+    lower, upper = filters if isinstance(filters, Filters) else Filters(*filters)
+    if lower.grid != raw.grid:
         raise ValueError("filters must share the observation grid")
-    if upper.values[0] != 0.0:
-        raise ValueError("upper filter must vanish at the origin")
-    if np.any(lower.values > upper.values):
-        raise ValueError("filter envelopes cross")
     clamped = raw.with_values(np.clip(raw.values, lower.values, upper.values))
     achieved = None
     if truth is not None:
-        achieved = norm(raw.with_values(clamped.values - truth.values))
+        achieved = l2_norm(clamped.values - truth.values, raw.grid)
     return NoisyObservation(clamped, achieved, lambda0)
 
 
@@ -189,23 +204,42 @@ class RegularizedSolve:
         return self.P.grid
 
 
+# The march's first stage solves the nodes up to here one at a time: they
+# fill 7 dyadic blocks, too short for vector passes to pay.
+_SCALAR_NODES = 64
+
+
 def _march(F: np.ndarray, alpha: float, h: float) -> np.ndarray:
     """Implicit forward marching of alpha P' + 4 P = P(y/2) + F, P(0) = 0.
 
     The half-argument reads of nodes ``lo..2 lo - 2`` only touch nodes
     below ``lo``, so each such dyadic block is one linear recurrence with
-    a known source. At the first node the read meets the not yet computed
-    (zero) value there and reduces to the boundary value 0.
+    a known source and the constant coefficient ``r / (r + 4)``,
+    ``r = alpha / h``, whose powers are formed once per march. The first
+    ``_SCALAR_NODES`` nodes are marched node by node instead. At the first
+    node the read meets the not yet computed (zero) value there and
+    reduces to the boundary value 0.
     """
     n = F.size - 1
-    P = np.zeros(n + 1)
     r = alpha / h
     denom = r + 4.0
-    lo = 1
+    head = min(n, _SCALAR_NODES)
+    p = [0.0] * (head + 1)
+    f = F[: head + 1].tolist()
+    for j in range(1, head + 1):
+        p[j] = (r * p[j - 1] + 0.5 * (p[j // 2] + p[(j + 1) // 2]) + f[j]) / denom
+    P = np.zeros(n + 1)
+    P[: head + 1] = p
+    if head == n:
+        return P
+    solve = constant_recurrence(r / denom, n - n // 2)
+    lo = head + 1
     while lo <= n:
-        hi = min(max(lo, 2 * lo - 2), n)
-        source = half_sample_values(P[: hi + 1])[lo:] + F[lo : hi + 1]
-        P[lo : hi + 1] = linear_recurrence(r / denom, source / denom, P[lo - 1])
+        hi = min(2 * lo - 2, n)
+        source = half_sample_values(P, lo, hi)
+        source += F[lo : hi + 1]
+        source /= denom
+        P[lo : hi + 1] = solve(source, P[lo - 1])
         lo = hi + 1
     return P
 
@@ -232,16 +266,13 @@ def stability_report(solve: RegularizedSolve, F: np.ndarray) -> StabilityReport:
 
 def _with_rate(P: np.ndarray, data: GridFunction, alpha: float, scheme: str,
                lambda0: float) -> RegularizedSolve:
-    grid = data.grid
     dv = data.values
-    floor = RATE_SUPPORT_FLOOR * float(dv.max())
-    defined = dv >= floor
-    rate = np.full_like(P, np.nan)
-    rate[defined] = P[defined] / dv[defined]
+    defined = dv >= RATE_SUPPORT_FLOOR * float(dv.max())
+    rate = np.divide(P, dv, out=np.full_like(P, np.nan), where=defined)
     return RegularizedSolve(
         alpha=alpha,
         scheme=scheme,
-        P=GridFunction(grid, P),
+        P=GridFunction(data.grid, P),
         rate=rate,
         defined=defined,
         data=data,
@@ -341,8 +372,7 @@ def weighted_product_error(solve: RegularizedSolve, true_rate: GridFunction) -> 
     Equals the L2 norm of P - B N_obs, which extends the weighted rate
     error over the whole grid without dividing by the observation.
     """
-    diff = solve.P.values - true_rate.values * solve.data.values
-    return norm(GridFunction(solve.grid, diff))
+    return l2_norm(solve.P.values - true_rate.values * solve.data.values, solve.grid)
 
 
 def rate_error_on_support(
@@ -351,9 +381,8 @@ def rate_error_on_support(
     weight_values: np.ndarray | None = None,
 ) -> float:
     """Plain (or weighted) L2 rate error over the defined region."""
-    mask = solve.defined
-    diff = np.zeros_like(solve.rate)
-    diff[mask] = solve.rate[mask] - true_rate.values[mask]
+    diff = np.subtract(solve.rate, true_rate.values, out=np.zeros_like(solve.rate),
+                       where=solve.defined)
     if weight_values is not None:
         diff = diff * np.sqrt(np.maximum(weight_values, 0.0))
-    return norm(GridFunction(solve.grid, diff))
+    return l2_norm(diff, solve.grid)

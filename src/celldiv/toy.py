@@ -23,7 +23,7 @@ import numpy as np
 
 from .fitting import fit_loglog_slope
 from .grid import GridFunction, derivative, linear_recurrence, norm, seminorm
-from .noise import perturbed
+from .noise import perturbed, unit_noise
 
 __all__ = [
     "ToyProblem",
@@ -166,10 +166,14 @@ def toy_study(problem: ToyProblem, seeds: int, epsilons) -> ToyStudyReport:
     reference = problem.reference()
     weight = problem.weight.values ** 2
     h = problem.data.grid.spacing
+    levels = sorted(set(float(e) for e in epsilons), reverse=True)
+    if levels and levels[-1] < 0:
+        raise ValueError("noise levels must be nonnegative")
+    # Each seed's noise draw serves every level (a noise-free study draws none).
+    grid = problem.data.grid
+    draws = [unit_noise(grid, seed) for seed in range(seeds)] if levels and levels[0] > 0.0 else []
     rows: list[ToyStudyRow] = []
-    for eps in sorted(set(float(e) for e in epsilons), reverse=True):
-        if eps < 0:
-            raise ValueError("noise levels must be nonnegative")
+    for eps in levels:
         for seed in range(seeds):
             if eps == 0.0:
                 with warnings.catch_warnings():
@@ -178,7 +182,7 @@ def toy_study(problem: ToyProblem, seeds: int, epsilons) -> ToyStudyReport:
                 noisy = problem.data
             else:
                 alpha = optimal_alpha(eps, bound)
-                noisy = perturbed(problem.data, eps, seed)
+                noisy = perturbed(problem.data, eps, draws[seed])
             solution = toy_solve(problem, alpha, data=noisy)
             err = norm(solution.with_values(solution.values - reference.values), weight)
             predicted = 2.0 * np.sqrt(eps * bound)

@@ -326,6 +326,16 @@ def test_studies_reject_zero_directions(tmp_path, which):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("which", ["gre", "gap"])
+def test_studies_reject_zero_amplitude(tmp_path, which):
+    # every row of a zero perturbation is 0 / 0, not a balance that holds
+    out = tmp_path / f"{which}.csv"
+    with pytest.raises(ValueError, match="direction produced no profile shift"):
+        main([which, "--bspec", "constant:1.0", "--grid-n", "256", "--directions", "2",
+              "--amplitude", "0", "--output", str(out)])
+    assert not out.exists()
+
+
 def test_gap_rejects_probe(tmp_path, capsys):
     # the gap study has no probe; only gre reads --probe
     out = tmp_path / "gap.csv"

@@ -233,6 +233,20 @@ def test_series_coefficient_ratios():
     assert series.values[0] == pytest.approx(0.0, abs=1e-10)  # coefficients telescope
 
 
+@pytest.mark.parametrize("n", [1024, 4096])
+@pytest.mark.parametrize("b", [1.0, 20.0])
+def test_series_matches_dense_sum(n, b):
+    # oracle: all 40 terms at every node, summed as one (n + 1) x 40 table
+    grid = make_grid(12.0, n)
+    coef = np.ones(40)
+    for i in range(1, 40):
+        coef[i] = coef[i - 1] * 2.0 / (1.0 - 2.0 ** i)
+    decay = 2.0 * b * 2.0 ** np.arange(40)
+    dense = (coef * np.exp(-decay * grid.nodes[:, None])).sum(axis=1) / np.sum(coef / decay)
+    got = constant_b_series(b, grid).values
+    assert np.max(np.abs(got - dense)) <= 1e-14 * np.max(dense)
+
+
 def test_series_rejects_degenerate():
     grid = make_grid(6.0, 64)
     with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import numpy as np
@@ -308,25 +309,42 @@ PER_STEP = {
 }
 
 
+def _row_sizes(c):
+    """W - 1, W and W + 1 steps, W = floor(ln 1e100 / -ln c) being the row
+    width of the constant-coefficient closed form, and a length over
+    several rows with a partial last one (three rows where W is in the
+    millions, more below)."""
+    width = int(np.log(1e100) / -np.log(c))
+    assert c ** -width <= 1e100 < c ** -(width + 1)
+    return [width - 1, width, width + 1, (2 if width > 10**6 else 5) * width + 7]
+
+
 @pytest.mark.parametrize(
     ("size", "c"),
     [(size, c) for size in (1, 2, 3, 1000) for c in (0.0, 0.5, 0.99993, "per-step")]
-    # 0.5**1024 is subnormal: stopping the doubling before it must lose nothing
+    # rows of 332 steps for 0.5, whose row-end carry 0.5**332 is about
+    # 1e-100: its doubling stops before the subnormals and loses nothing
     + [(1024, 0.5), (65536, 0.5)]
     # the product of 1200 growing steps, about 1e355, overflows; sources
     # scaled by 1e-200 keep the loop finite (4096 such steps exceed any scaling)
-    + [(4096, "decaying"), (1200, "growing")],
+    + [(4096, "decaying"), (1200, "growing")]
+    # one row, exactly one, one and a step, and many rows
+    + [(size, c) for c in (1e-8, 0.21, 0.9999) for size in _row_sizes(c)],
 )
 def test_linear_recurrence_matches_loop(c, size, rng):
     scale = 1e-200 if c == "growing" else 1.0
     s = scale * rng.standard_normal(size)
-    coef = PER_STEP[c](rng, size) if c in PER_STEP else np.full(size, c)
+    coef = PER_STEP[c](rng, size) if c in PER_STEP else c
     x0 = -0.75 * scale
     expected = np.empty(size)
     prev = x0
-    for k in range(size):
-        prev = coef[k] * prev + s[k]
-        expected[k] = prev
+    for k in range(0, size, 65536):  # step by step over plain floats, in chunks
+        chunk = []
+        steps = coef[k : k + 65536].tolist() if c in PER_STEP else itertools.repeat(c)
+        for a, b in zip(steps, s[k : k + 65536].tolist()):
+            prev = a * prev + b
+            chunk.append(prev)
+        expected[k : k + len(chunk)] = chunk
     assert np.all(np.isfinite(expected))
-    got = linear_recurrence(coef if c in PER_STEP else c, s, x0)
+    got = linear_recurrence(coef, s, x0)
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))

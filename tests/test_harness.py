@@ -6,7 +6,7 @@ import pytest
 import celldiv.harness
 from celldiv.direct import check_invariants, solve_pair
 from celldiv.inverse import recover_rate
-from celldiv.grid import make_grid, norm
+from celldiv.grid import GridFunction, make_grid, norm
 from celldiv.harness import (
     CSV_SCHEMA,
     ExperimentConfig,
@@ -15,6 +15,7 @@ from celldiv.harness import (
     emit_report,
     parse_rate_spec,
 )
+from celldiv.toy import ToyProblem, toy_study
 
 
 @pytest.fixture(scope="module")
@@ -218,3 +219,18 @@ def test_error_decomposition_bound(small_cfg):
         cs.append(row.err_weighted / denom)
     assert max(cs) <= 10.0
     assert max(cs) / max(min(cs), 1e-12) <= 50.0
+
+
+def test_studies_draw_each_seed_once(monkeypatch):
+    # 2 levels x 3 seeds: one draw per seed serves both levels
+    drawn = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: drawn.append(seed) or default_rng(seed))
+    report = convergence_study(ExperimentConfig("constant:1.0", 12.0, 256, (1e-2, 1e-3), seeds=3))
+    assert len(report.rows) == 6
+    assert drawn == [0, 1, 2]
+    drawn.clear()
+    grid = make_grid(1.0, 256)
+    problem = ToyProblem(GridFunction(grid, np.ones(257)), GridFunction(grid, grid.nodes ** 2))
+    assert len(toy_study(problem, 3, (1e-2, 1e-3)).rows) == 6
+    assert drawn == [0, 1, 2]

@@ -268,7 +268,8 @@ def test_march_matches_per_node_loop(n):
     half = half_sample_values(data.values)
     quarter = half_sample_values(half)
     fd_source = exact_product_source(data, 1.0)
-    for alpha in (1e-8, 1e-4, 3e-3, 1e-2, 0.3, 10.0):
+    sweep_alphas = [float(np.sqrt(eps)) for eps in (1e-2, 1e-3, 1e-4, 1e-5)]  # README sweep
+    for alpha in (1e-8, 1e-4, 3e-3, 1e-2, 0.3, 10.0, *sweep_alphas):
         dfree_source = (2.0 / alpha) * quarter + (1.0 - 8.0 / alpha) * half
         for F in (fd_source, dfree_source):
             expected = _march_loop(F, alpha, grid.spacing)
