@@ -12,8 +12,10 @@ N is the trapezoidal collocation of the stationary equation (second-order
 accurate). With lambda fixed, the collocation is marched from right to
 left: after one integrating factor per march, every dyadic block of nodes
 reads its doubled arguments from nodes already solved and is one prefix
-sum. lambda0 is the root of the shooting residual N_lambda(0) = 0, so
-the direct solve is O(n) per root iteration. The adjoint profile is the
+sum; the lowest nodes are marched one at a time. lambda0 is the root of
+the shooting residual N_lambda(0) = 0. The root search's marches form only
+the residual, N is formed once, at the root, and the direct solve is O(n)
+per root iteration. The adjoint profile is the
 positive eigenvector of the unit-CFL downwind step (an exact node shift with
 the reaction and half-argument terms averaged along the characteristic),
 found by a few dozen right-to-left recurrence sweeps, each O(n).
@@ -29,6 +31,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .grid import (
+    SCALAR_NODES,
     Grid,
     GridFunction,
     derivative,
@@ -169,57 +172,77 @@ _MAX_SWEEPS = 200
 _ADJOINT_FLOOR = 256 * np.finfo(float).eps
 
 
-def _shoot(B: np.ndarray, h: float, lam: float) -> np.ndarray:
+def _shoot(B: np.ndarray, h: float, lam: float) -> tuple[float, np.ndarray, np.ndarray, float]:
     """Right-to-left march of the trapezoidal collocation at a fixed ``lam``.
 
     Starts from ``v[n] = 1`` and solves every equation
     ``v[k] - v[k-1] = h/2 (G[k] + G[k-1])`` for ``v[k-1]``, with
     ``G = 4 B(2x) v(2x) - (B + lam) v``, as ``v[j] = A[j] v[j+1] + S[j]``.
-    With the integrating factor ``Q[j] = prod_{i>=j} A[i]`` (products over
-    windows of :func:`product_window` steps, one log scale each)
-    ``u = v / Q`` obeys ``u[j] = u[j+1] + K1[j] u[2j] + K2[j] u[2j+2]``.
-    Once the nodes from ``m`` up are known, nodes ``ceil(m/2) .. m-1`` only
-    read known nodes, so each such dyadic block is one prefix sum; past
-    ``n/2`` nothing is read and ``u = 1``. The doubled-argument read of
-    node 0 is its boundary value 0, so ``v[0]`` is the shooting residual.
-    Returns ``v`` scaled to ``max |v| = 1``.
+    With the integrating factor ``Q[j] = prod_{i>=j} A[i]`` (one product,
+    or products over windows of :func:`product_window` steps with one log
+    scale each) ``u = v / Q`` obeys ``u[j] = u[j+1] + K1[j] u[2j] + K2[j] u[2j+2]``.
+    Past ``n/2`` nothing is read and ``u = 1``. Once the nodes from ``m`` up
+    are known, nodes ``ceil(m/2) .. m-1`` only read known nodes, so each
+    such dyadic block is one prefix sum; the lowest nodes, up to
+    ``SCALAR_NODES`` at most, are marched one at a time. The doubled-
+    argument read of node 0 is its boundary value 0. Returns the shooting
+    residual ``v[0] / peak``, ``Q``, the head ``v[:n//2 + 1] = Q u`` and
+    ``peak = max |v|``.
     """
     n = B.size - 1
+    m = n // 2 + 1
     half = 0.5 * h * (B + lam)
     den = 1.0 - half[:-1]
     A = np.divide(1.0 + half[1:], den, out=half[1:])
     window = product_window(A)
-    Q, scale = np.ones(n + 1), np.zeros(n + 1)  # the factor is Q e^scale
-    for hi in range(n, 0, -window):
-        lo = max(hi - window, 0)
-        np.multiply.accumulate(A[lo:hi][::-1], out=Q[lo:hi][::-1])
-        scale[:lo] = scale[lo] + np.log(Q[lo])
-    m = n // 2 + 1
+    Q = np.empty(n + 1)
+    Q[n] = 1.0
+    if window >= n:
+        np.multiply.accumulate(A[::-1], out=Q[:n][::-1])
+    else:  # the factor is Q e^scale
+        scale = np.zeros(n + 1)
+        for hi in range(n, 0, -window):
+            lo = max(hi - window, 0)
+            np.multiply.accumulate(A[lo:hi][::-1], out=Q[lo:hi][::-1])
+            scale[:lo] = scale[lo] + np.log(Q[lo])
     g = np.divide(-2.0 * h, den[:m] * Q[:m], out=den[:m])
-    W = np.append(0.0, B[2::2] * Q[2::2])  # B(2x) Q(2x), 0 at the boundary x = 0
-    K1, K2 = g * W, g * np.append(W[1:], 0.0)
+    W = np.zeros(m + 1)  # B(2x) Q(2x), 0 at the boundary x = 0 and past L
+    np.multiply(B[2::2], Q[2::2], out=W[1:m])
+    K1, K2 = g * W[:m], g * W[1:]
     if window < n:
         K1 *= np.exp(scale[::2] - scale[:m])
         K2[:-1] *= np.exp(scale[2::2] - scale[: m - 1])
         Q *= np.exp(scale - scale[0])
-    u = np.ones(n + 3)  # the first block reads up to node n + 2, where K2 = 0
-    while m > 0:
-        lo = (m + 1) // 2 if m > 1 else 0
-        T = K1[lo:m] * u[2 * lo : 2 * m : 2] + K2[lo:m] * u[2 * lo + 2 : 2 * m + 2 : 2]
-        T[-1] += u[m]
-        np.add.accumulate(T[::-1], out=u[lo:m][::-1])
-        m = lo
-    v = np.multiply(Q, u[: n + 1], out=Q)
-    return np.divide(v, max(v.max(), -v.min()), out=v)
+    u = np.empty(m + 2)
+    u[m:] = 1.0
+    lo = (m + 1) // 2  # the first block reads only nodes past n/2
+    T = K1[lo:] + K2[lo:]
+    T[-1] += 1.0
+    np.add.accumulate(T[::-1], out=u[lo:m][::-1])
+    top = lo
+    while top > SCALAR_NODES + 1:
+        lo = (top + 1) // 2
+        T = K1[lo:top] * u[2 * lo : 2 * top : 2] + K2[lo:top] * u[2 * lo + 2 : 2 * top + 2 : 2]
+        T[-1] += u[top]
+        np.add.accumulate(T[::-1], out=u[lo:top][::-1])
+        top = lo
+    k1, k2, w = K1[:top].tolist(), K2[:top].tolist(), [0.0] + u[1 : 2 * top + 1].tolist()
+    for j in range(top - 1, -1, -1):
+        w[j] = w[j + 1] + (k1[j] * w[2 * j] + k2[j] * w[2 * j + 2])
+    u[:top] = w[:top]
+    head = np.multiply(Q[:m], u[:m], out=u[:m])
+    peak = max(head.max(), -head.min(), Q[m:].max())
+    return head[0] / peak, Q, head, peak
 
 
 def solve_direct(rate: RateBounds, tol: float = 1e-9) -> EigenPair:
     """Stable size distribution and growth rate by dyadic shooting.
 
-    ``lambda0`` is the root of the shooting residual ``v[0] / max |v|`` of
-    :func:`_shoot`, found by Brent's method on a bracket that shrinks to
-    ``tol * h`` or, where the march cannot resolve that, ``4 eps / h``;
-    ``N`` is the march at that root, normalized to unit mass. The bracket
+    ``lambda0`` is the root of the shooting residual of :func:`_shoot`,
+    found by Brent's method on a bracket that shrinks to ``tol * h`` or,
+    where the march cannot resolve that, ``4 eps / h``; each march forms
+    only the residual and the pieces of its profile. ``N`` is formed once,
+    from the march at the root, and normalized to unit mass. The bracket
     is the rate bounds, widened slightly. ``iterations`` counts marches.
     Raises if ``_MAX_MARCHES`` marches do not suffice, if the bracket holds no
     sign change, or if the profile changes sign (a non-Perron root). The
@@ -240,18 +263,20 @@ def solve_direct(rate: RateBounds, tol: float = 1e-9) -> EigenPair:
 
     marches = 0
 
-    def residual(lam: float) -> tuple[float, float, np.ndarray]:
+    def residual(lam: float) -> tuple[float, float, list]:
         nonlocal marches
         if marches >= _MAX_MARCHES:
             raise RuntimeError(f"direct solve did not converge in {_MAX_MARCHES} iterations")
         marches += 1
-        v = _shoot(B, h, lam)
-        return lam, float(v[0]), v
+        res, *pieces = _shoot(B, h, lam)
+        return lam, float(res), pieces
 
     lo, hi = residual(lam_lo), residual(lam_hi)
     if lo[1] * hi[1] > 0.0:
         raise RuntimeError(f"shooting residual has no sign change on [{lam_lo:.6g}, {lam_hi:.6g}]")
-    lam, _, v = _brent(residual, lo, hi, max(tol * h, _ROOT_FLOOR / h))
+    lam, _, (Q, head, peak) = _brent(residual, lo, hi, max(tol * h, _ROOT_FLOOR / h))
+    Q[: head.size] = head  # the profile v / max |v|, formed in the root march's Q
+    v = np.divide(Q, peak, out=Q)
 
     if v[1:].min() < -_SIGN_TOLERANCE:
         raise RuntimeError("direct solve found a non-Perron root: the profile changes sign")
@@ -396,9 +421,8 @@ def constant_b_series(b: float, grid: Grid) -> GridFunction:
     Superposition of exponentials exp(-2 b 2^k x) whose coefficients obey
     c_k = 2 c_{k-1} / (1 - 2^k); the prefactor is fixed by unit mass on
     the whole half-line. The coefficient tail decays super-geometrically,
-    so 40 terms sit far below double-precision resolution. Terms are
-    added one at a time, each over the nodes where its exponential is at
-    least 1e-300, so memory stays O(n).
+    so 40 terms sit far below double-precision resolution. Each term is
+    added where it is at least 1e-300, so memory stays O(n).
     """
     if b <= 0.0:
         raise ValueError("rate must be positive")

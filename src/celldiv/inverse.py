@@ -21,9 +21,8 @@ absorbs the data derivative into the unknown; the observation is then
 never differentiated, only sampled at half and quarter arguments. On
 noise-free data the two agree to first order in the mesh width.
 
-Energy estimates for the marching problem (sup alpha P^2, mass and
-gradient bounds against the source) and their empirical constants are
-computed on request by :func:`stability_report`, not with every solve.
+Energy estimates of the marching problem and their empirical constants
+are computed on request by :func:`stability_report`, not with every solve.
 """
 
 from __future__ import annotations
@@ -33,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import (
+    SCALAR_NODES,
     Grid,
     GridFunction,
     derivative_values,
@@ -72,7 +72,7 @@ class NoisyObservation:
 
     ``epsilon`` is the achieved L2 distance to the truth when the truth
     was available (None otherwise); ``lambda0`` is the supplied growth
-    rate, or None to estimate it from the data.
+    rate ``int B N``, finite and positive, or None to estimate it.
     """
 
     data: GridFunction
@@ -82,6 +82,8 @@ class NoisyObservation:
     def __post_init__(self) -> None:
         if self.epsilon is not None and self.epsilon < 0.0:
             raise ValueError("noise level must be nonnegative")
+        if self.lambda0 is not None and not 0.0 < self.lambda0 < np.inf:
+            raise ValueError(f"lambda0 must be a finite positive growth rate, got {self.lambda0!r}")
 
     @property
     def grid(self) -> Grid:
@@ -92,13 +94,9 @@ class NoisyObservation:
 
 
 class Filters(tuple):
-    """The pair ``(lower, upper)`` of filter envelopes, checked once when built.
-
-    The filters encode what any admissible profile must satisfy, in
-    particular the zero boundary value at the origin: an upper filter
-    that does not vanish there, filters on two grids, or crossing filters
-    are rejected.
-    """
+    """The pair ``(lower, upper)`` of filter envelopes, checked once when built:
+    filters on two grids, crossing filters, or an upper filter that does not
+    vanish at the origin (as every admissible profile does) are rejected."""
 
     def __new__(cls, lower: GridFunction, upper: GridFunction) -> "Filters":
         if lower.grid != upper.grid:
@@ -116,13 +114,9 @@ def clamp_observation(
     truth: GridFunction | None = None,
     lambda0: float | None = None,
 ) -> NoisyObservation:
-    """Clamp a raw observation into its filter envelopes.
-
-    ``filters`` is a :class:`Filters`, or a plain ``(lower, upper)`` pair
-    that is checked as one on every call. When the truth is supplied the
-    achieved post-clamp distance is recorded as the observation's noise
-    level.
-    """
+    """Clamp a raw observation into its filter envelopes, a :class:`Filters`
+    or a plain ``(lower, upper)`` pair (checked on every call); with the truth
+    supplied, the achieved post-clamp distance is the noise level."""
     lower, upper = filters if isinstance(filters, Filters) else Filters(*filters)
     if lower.grid != raw.grid:
         raise ValueError("filters must share the observation grid")
@@ -204,26 +198,18 @@ class RegularizedSolve:
         return self.P.grid
 
 
-# The march's first stage solves the nodes up to here one at a time: they
-# fill 7 dyadic blocks, too short for vector passes to pay.
-_SCALAR_NODES = 64
-
-
 def _march(F: np.ndarray, alpha: float, h: float) -> np.ndarray:
     """Implicit forward marching of alpha P' + 4 P = P(y/2) + F, P(0) = 0.
 
-    The half-argument reads of nodes ``lo..2 lo - 2`` only touch nodes
-    below ``lo``, so each such dyadic block is one linear recurrence with
-    a known source and the constant coefficient ``r / (r + 4)``,
-    ``r = alpha / h``, whose powers are formed once per march. The first
-    ``_SCALAR_NODES`` nodes are marched node by node instead. At the first
-    node the read meets the not yet computed (zero) value there and
-    reduces to the boundary value 0.
+    Nodes up to ``SCALAR_NODES`` are marched one at a time; the read of
+    node 1 meets its own, still zero, value. Above, the half-argument reads
+    of nodes ``lo..2 lo - 2`` only touch nodes below ``lo``, so each such
+    block is one recurrence with the constant ``r / (r + 4)``, ``r = alpha / h``.
     """
     n = F.size - 1
     r = alpha / h
     denom = r + 4.0
-    head = min(n, _SCALAR_NODES)
+    head = min(n, SCALAR_NODES)
     p = [0.0] * (head + 1)
     f = F[: head + 1].tolist()
     for j in range(1, head + 1):

@@ -5,7 +5,7 @@ import pytest
 
 import celldiv.direct
 from celldiv.cli import _rate_table, main
-from celldiv.direct import bump_rate
+from celldiv.direct import bump_rate, constant_b_series
 from celldiv.grid import GridFunction, make_grid, read_csv, write_csv
 
 
@@ -155,6 +155,16 @@ def test_invert_subcommand(tmp_path):
     diag = json.loads(out.with_suffix(".diag.json").read_text())
     assert diag["alpha"] == 0.01
     assert diag["scheme"] == "derivative-free"
+
+
+@pytest.mark.parametrize("lambda0", ["-1", "0", "nan", "inf"])
+def test_invert_rejects_nonpositive_or_nonfinite_lambda0(tmp_path, lambda0):
+    grid = make_grid(12.0, 256)
+    data = write_csv(constant_b_series(1.0, grid), tmp_path / "N.csv")
+    out = tmp_path / "rate.csv"
+    with pytest.raises(ValueError, match="lambda0 must be a finite positive"):
+        main(["invert", "--data", str(data), "--lambda0", lambda0, "--alpha", "0.01", "--output", str(out)])
+    assert not out.exists()
 
 
 def rate_table_loop(nodes, rate, defined):

@@ -23,6 +23,7 @@ from celldiv.grid import (
     linear_recurrence,
     make_grid,
     norm,
+    product_window,
     trapezoid,
 )
 
@@ -134,6 +135,49 @@ def _block_march(B, h, lam):
             peak = 1.0
         m = lo
     return v / peak
+
+
+def _full_march(B, h, lam):
+    """Reference oracle: :func:`celldiv.direct._shoot` with every dyadic
+    block a vector pass and the whole profile multiplied out.
+
+    The same operations on the same operands, so its ``v / max |v|`` must
+    equal the profile formed from ``_shoot`` bit for bit.
+    """
+    n = B.size - 1
+    half = 0.5 * h * (B + lam)
+    den = 1.0 - half[:-1]
+    A = np.divide(1.0 + half[1:], den, out=half[1:])
+    window = product_window(A)
+    Q, scale = np.ones(n + 1), np.zeros(n + 1)  # the factor is Q e^scale
+    for hi in range(n, 0, -window):
+        lo = max(hi - window, 0)
+        np.multiply.accumulate(A[lo:hi][::-1], out=Q[lo:hi][::-1])
+        scale[:lo] = scale[lo] + np.log(Q[lo])
+    m = n // 2 + 1
+    g = np.divide(-2.0 * h, den[:m] * Q[:m], out=den[:m])
+    W = np.append(0.0, B[2::2] * Q[2::2])
+    K1, K2 = g * W, g * np.append(W[1:], 0.0)
+    if window < n:
+        K1 *= np.exp(scale[::2] - scale[:m])
+        K2[:-1] *= np.exp(scale[2::2] - scale[: m - 1])
+        Q *= np.exp(scale - scale[0])
+    u = np.ones(n + 3)
+    while m > 0:
+        lo = (m + 1) // 2 if m > 1 else 0
+        T = K1[lo:m] * u[2 * lo : 2 * m : 2] + K2[lo:m] * u[2 * lo + 2 : 2 * m + 2 : 2]
+        T[-1] += u[m]
+        np.add.accumulate(T[::-1], out=u[lo:m][::-1])
+        m = lo
+    v = Q * u[: n + 1]
+    return v / max(v.max(), -v.min())
+
+
+def _shot_profile(B, h, lam):
+    """Residual and normalized profile ``v / max |v|`` of one ``_shoot`` march."""
+    res, Q, head, peak = _shoot(B, h, lam)
+    Q[: head.size] = head
+    return res, Q / peak
 
 
 ACCEPTANCE_RATES = {
@@ -462,7 +506,9 @@ def test_pair_max_iters_caps_only_the_adjoint(monkeypatch):
 
 
 def test_residual_without_sign_change_fails_loudly(monkeypatch):
-    monkeypatch.setattr(celldiv.direct, "_shoot", lambda B, h, lam: np.ones(B.size))
+    monkeypatch.setattr(
+        celldiv.direct, "_shoot", lambda B, h, lam: (1.0, np.ones(B.size), np.ones(1), 1.0)
+    )
     with pytest.raises(RuntimeError, match="no sign change"):
         solve_direct(constant_rate(make_grid(12.0, 256), 1.0))
 
@@ -472,7 +518,7 @@ def test_non_perron_root_fails_loudly(monkeypatch):
         v = np.ones(B.size)
         v[0] = lam - 1.0
         v[B.size // 2] = -0.5
-        return v
+        return v[0], np.ones(B.size), v, 1.0
 
     monkeypatch.setattr(celldiv.direct, "_shoot", shoot)
     with pytest.raises(RuntimeError, match="non-Perron"):
@@ -505,8 +551,53 @@ def test_shoot_matches_block_march(name, n):
     rate = SHOOT_RATES[name](grid)
     root = solve_direct(rate).lambda0
     for lam in (0.99 * rate.b_min, root, 1.01 * rate.b_max):
-        got = _shoot(rate.values, grid.spacing, lam)
+        _, got = _shot_profile(rate.values, grid.spacing, lam)
         assert np.max(np.abs(got - _block_march(rate.values, grid.spacing, lam))) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "name, n",
+    [(name, n) for name in ACCEPTANCE_RATES for n in (16, 17, 1024, 4096)] + [("constant-20", 16384)],
+)
+def test_scalar_tail_matches_vector_blocks(name, n, monkeypatch):
+    # SCALAR_NODES = 1 leaves only the one-node blocks [1, 2) and [0, 1) to
+    # the scalar tail; both marches must equal the all-vector oracle exactly.
+    length = 40.0 if name == "constant-20" else 12.0 if n >= 1024 else 6.0
+    grid = make_grid(length, n)
+    rate = SHOOT_RATES[name](grid)
+    B, h = rate.values, grid.spacing
+    lams = [0.99 * rate.b_min, solve_direct(rate).lambda0, 1.01 * rate.b_max]
+    if name != "constant-20":  # there the e^1600 windows overflow below the bracket
+        lams.append(-2.0 * rate.b_max)  # fine grids peak past n/2, where only Q is read
+    for lam in lams:
+        res, v = _shot_profile(B, h, lam)
+        with monkeypatch.context() as patch:
+            patch.setattr(celldiv.direct, "SCALAR_NODES", 1)
+            res_vector, v_vector = _shot_profile(B, h, lam)
+        full = _full_march(B, h, lam)
+        assert res == res_vector == full[0]
+        assert np.array_equal(v, v_vector)
+        assert np.array_equal(v, full)
+
+
+@pytest.mark.parametrize("name, n", [(name, 4096) for name in ACCEPTANCE_RATES] + [("constant-20", 16384)])
+def test_root_profile_matches_full_march(name, n, monkeypatch):
+    # solve_direct forms the profile in the root march's Q, before it clips
+    # and rescales a copy: keep every march's pieces to read it back.
+    grid = make_grid(40.0 if name == "constant-20" else 12.0, n)
+    rate = SHOOT_RATES[name](grid)
+    marches = []
+
+    def shoot(B, h, lam):
+        out = _shoot(B, h, lam)
+        marches.append((lam, out[1]))
+        return out
+
+    monkeypatch.setattr(celldiv.direct, "_shoot", shoot)
+    pair = solve_direct(rate)
+    assert len(marches) == pair.iterations
+    (formed,) = [Q for lam, Q in marches if lam == pair.lambda0]
+    assert np.array_equal(formed, _full_march(rate.values, grid.spacing, pair.lambda0))
 
 
 @pytest.mark.parametrize("name", ["constant-2", "step-down"])
