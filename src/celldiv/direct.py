@@ -178,16 +178,17 @@ def _shoot(B: np.ndarray, h: float, lam: float) -> tuple[float, np.ndarray, np.n
     Starts from ``v[n] = 1`` and solves every equation
     ``v[k] - v[k-1] = h/2 (G[k] + G[k-1])`` for ``v[k-1]``, with
     ``G = 4 B(2x) v(2x) - (B + lam) v``, as ``v[j] = A[j] v[j+1] + S[j]``.
-    With the integrating factor ``Q[j] = prod_{i>=j} A[i]`` (one product,
-    or products over windows of :func:`product_window` steps with one log
-    scale each) ``u = v / Q`` obeys ``u[j] = u[j+1] + K1[j] u[2j] + K2[j] u[2j+2]``.
+    With the integrating factor ``Q[j] = prod_{i>=j} A[i]`` (products over
+    windows of :func:`product_window` steps, one log scale each, none when
+    one window spans the grid) ``u = v / Q`` obeys
+    ``u[j] = u[j+1] + K1[j] u[2j] + K2[j] u[2j+2]``.
     Past ``n/2`` nothing is read and ``u = 1``. Once the nodes from ``m`` up
     are known, nodes ``ceil(m/2) .. m-1`` only read known nodes, so each
     such dyadic block is one prefix sum; the lowest nodes, up to
     ``SCALAR_NODES`` at most, are marched one at a time. The doubled-
     argument read of node 0 is its boundary value 0. Returns the shooting
     residual ``v[0] / peak``, ``Q``, the head ``v[:n//2 + 1] = Q u`` and
-    ``peak = max |v|``.
+    ``peak = max |v|``, from which :func:`_profile` forms the profile.
     """
     n = B.size - 1
     m = n // 2 + 1
@@ -197,13 +198,11 @@ def _shoot(B: np.ndarray, h: float, lam: float) -> tuple[float, np.ndarray, np.n
     window = product_window(A)
     Q = np.empty(n + 1)
     Q[n] = 1.0
-    if window >= n:
-        np.multiply.accumulate(A[::-1], out=Q[:n][::-1])
-    else:  # the factor is Q e^scale
-        scale = np.zeros(n + 1)
-        for hi in range(n, 0, -window):
-            lo = max(hi - window, 0)
-            np.multiply.accumulate(A[lo:hi][::-1], out=Q[lo:hi][::-1])
+    scale = np.zeros(n + 1) if window < n else None  # the factor is Q e^scale
+    for hi in range(n, 0, -window):
+        lo = max(hi - window, 0)
+        np.multiply.accumulate(A[lo:hi][::-1], out=Q[lo:hi][::-1])
+        if lo:
             scale[:lo] = scale[lo] + np.log(Q[lo])
     g = np.divide(-2.0 * h, den[:m] * Q[:m], out=den[:m])
     W = np.zeros(m + 1)  # B(2x) Q(2x), 0 at the boundary x = 0 and past L
@@ -233,6 +232,13 @@ def _shoot(B: np.ndarray, h: float, lam: float) -> tuple[float, np.ndarray, np.n
     head = np.multiply(Q[:m], u[:m], out=u[:m])
     peak = max(head.max(), -head.min(), Q[m:].max())
     return head[0] / peak, Q, head, peak
+
+
+def _profile(Q: np.ndarray, head: np.ndarray, peak: float) -> np.ndarray:
+    """The profile ``v / max |v|`` of a :func:`_shoot` march, formed in its
+    ``Q``: ``v`` is the head up to ``n/2`` and ``Q`` past it."""
+    Q[: head.size] = head
+    return np.divide(Q, peak, out=Q)
 
 
 def solve_direct(rate: RateBounds, tol: float = 1e-9) -> EigenPair:
@@ -274,9 +280,8 @@ def solve_direct(rate: RateBounds, tol: float = 1e-9) -> EigenPair:
     lo, hi = residual(lam_lo), residual(lam_hi)
     if lo[1] * hi[1] > 0.0:
         raise RuntimeError(f"shooting residual has no sign change on [{lam_lo:.6g}, {lam_hi:.6g}]")
-    lam, _, (Q, head, peak) = _brent(residual, lo, hi, max(tol * h, _ROOT_FLOOR / h))
-    Q[: head.size] = head  # the profile v / max |v|, formed in the root march's Q
-    v = np.divide(Q, peak, out=Q)
+    lam, _, pieces = _brent(residual, lo, hi, max(tol * h, _ROOT_FLOOR / h))
+    v = _profile(*pieces)
 
     if v[1:].min() < -_SIGN_TOLERANCE:
         raise RuntimeError("direct solve found a non-Perron root: the profile changes sign")
@@ -421,8 +426,9 @@ def constant_b_series(b: float, grid: Grid) -> GridFunction:
     Superposition of exponentials exp(-2 b 2^k x) whose coefficients obey
     c_k = 2 c_{k-1} / (1 - 2^k); the prefactor is fixed by unit mass on
     the whole half-line. The coefficient tail decays super-geometrically,
-    so 40 terms sit far below double-precision resolution. Each term is
-    added where it is at least 1e-300, so memory stays O(n).
+    so 40 terms sit far below double-precision resolution. Terms are
+    added one at a time, each over the nodes where its exponential is at
+    least 1e-300, so memory stays O(n).
     """
     if b <= 0.0:
         raise ValueError("rate must be positive")

@@ -17,7 +17,9 @@ Quadrature is the trapezoid rule, matching the piecewise-linear
 interpolation order. Derivatives are centered differences with one-sided
 second-order stencils at the two boundary nodes. The adjoint sweeps and
 the implicit marchers of the toy and inverse problems share one
-first-order linear recurrence.
+first-order linear recurrence; :func:`product_window` sizes the windows
+of its running products, the rows of its constant-coefficient closed form
+and the windows of the direct march's integrating factor.
 """
 
 from __future__ import annotations
@@ -176,10 +178,15 @@ def product_window(c: np.ndarray) -> int:
 
 
 def linear_recurrence(c, s: np.ndarray, x0: float = 0.0) -> np.ndarray:
-    """All of ``x_k = c_k x_{k-1} + s_k`` with ``x_{-1} = x0``, for a constant
-    ``0 <= c < 1`` (:func:`constant_recurrence`) or one positive ``c_k`` per
-    step: ``x = P (x0 + cumsum(s / P))``, ``P = cumprod(c)``, restarted every
-    :func:`product_window` steps from the last value of the window before."""
+    """All of ``x_k = c_k x_{k-1} + s_k`` with ``x_{-1} = x0``.
+
+    ``c`` is a constant ``0 <= c < 1`` (solved by :func:`constant_recurrence`)
+    or one positive coefficient per step. Per-step coefficients use the
+    closed form ``x = P (x0 + cumsum(s / P))`` with the running product
+    ``P = cumprod(c)``, a few vector passes per window of
+    :func:`product_window` steps; each window starts a fresh product from
+    the last value of the one before.
+    """
     if np.ndim(c) == 0:
         return constant_recurrence(float(c), np.size(s))(s, x0)
     x = np.array(s, dtype=float)
@@ -201,11 +208,16 @@ def constant_recurrence(c: float, size: int):
     """Solver ``(s, x0) -> x`` of ``x_k = c x_{k-1} + s_k``, ``x_{-1} = x0``,
     for one constant ``0 <= c < 1`` and up to ``size`` steps.
 
-    The powers of ``c`` are formed once. A call cuts its steps into rows
-    of ``W`` steps, within which ``c**-k`` stays below ``PRODUCT_LIMIT``
-    (:func:`product_window`); each row is the closed form
-    ``x_k = c**k (c x_prev + cumsum(s_j c**-j))``, and :func:`_doubling`
-    on ``c**W`` chains the row ends ``x_prev`` in at most three passes.
+    The powers of ``c`` are formed here, once for every call of the
+    solver. A call cuts its steps into rows of ``W`` steps, ``W`` from
+    :func:`product_window`, so that ``c**-k`` stays below
+    ``PRODUCT_LIMIT`` within a row. Every row is the closed form
+    ``x_k = c**k (c x_prev + cumsum(s_j c**-j))`` from the last value
+    ``x_prev`` of the row before; one accumulate serves all rows. The row
+    ends are chained by recursive doubling on ``c**W``, which is below
+    ``1 / (c PRODUCT_LIMIT)``: at most three passes reach the smallest
+    normal double, where the chain stops (later terms would be subnormal
+    and slow).
     """
     width = product_window(np.array([c])) if c > 0.0 else 1  # c = 0: x_k = s_k
     width = min(width, max(size, 1))
@@ -235,9 +247,10 @@ def constant_recurrence(c: float, size: int):
 
 
 def _doubling(p: float, s: np.ndarray, out: np.ndarray, x0: float) -> None:
-    """``out[k] = p out[k-1] + s[k]``, ``out[-1] = x0``, by recursive doubling,
-    stopped once ``p**d`` falls below the smallest normal double (later
-    terms would be subnormal and slow)."""
+    """``out[k] = p out[k-1] + s[k]`` with ``out[-1] = x0``, by recursive
+    doubling: after the pass at distance ``d`` every entry sums the last
+    ``2 d`` sources weighted by ``p**d``; it stops once ``p**d`` drops
+    below the smallest normal double."""
     out[:] = s
     out[0] += p * x0
     d = 1

@@ -148,7 +148,8 @@ def add_noise(
     The raw perturbation sits at exact L2 distance epsilon from the
     truth; the recorded noise level is the post-clamp distance, which is
     what any error analysis downstream should use. A study passes each
-    seed's :class:`UnitNoise` and its filters, built once per study.
+    seed's :class:`UnitNoise` and the ``default_filters(truth)`` it
+    built once, so that a cell neither redraws nor rechecks them.
     """
     raw = perturbed(truth, epsilon, seed)
     if filters is None:

@@ -21,8 +21,9 @@ absorbs the data derivative into the unknown; the observation is then
 never differentiated, only sampled at half and quarter arguments. On
 noise-free data the two agree to first order in the mesh width.
 
-Energy estimates of the marching problem and their empirical constants
-are computed on request by :func:`stability_report`, not with every solve.
+Energy estimates for the marching problem (sup alpha P^2, mass and
+gradient bounds against the source) and their empirical constants are
+computed on request by :func:`stability_report`, not with every solve.
 """
 
 from __future__ import annotations
@@ -94,9 +95,13 @@ class NoisyObservation:
 
 
 class Filters(tuple):
-    """The pair ``(lower, upper)`` of filter envelopes, checked once when built:
-    filters on two grids, crossing filters, or an upper filter that does not
-    vanish at the origin (as every admissible profile does) are rejected."""
+    """The pair ``(lower, upper)`` of filter envelopes, checked once when built.
+
+    The filters encode what any admissible profile must satisfy, in
+    particular the zero boundary value at the origin: an upper filter
+    that does not vanish there, filters on two grids, or crossing filters
+    are rejected.
+    """
 
     def __new__(cls, lower: GridFunction, upper: GridFunction) -> "Filters":
         if lower.grid != upper.grid:
@@ -114,9 +119,13 @@ def clamp_observation(
     truth: GridFunction | None = None,
     lambda0: float | None = None,
 ) -> NoisyObservation:
-    """Clamp a raw observation into its filter envelopes, a :class:`Filters`
-    or a plain ``(lower, upper)`` pair (checked on every call); with the truth
-    supplied, the achieved post-clamp distance is the noise level."""
+    """Clamp a raw observation into its filter envelopes.
+
+    ``filters`` is a :class:`Filters`, or a plain ``(lower, upper)`` pair
+    that is checked as one on every call. When the truth is supplied the
+    achieved post-clamp distance is recorded as the observation's noise
+    level.
+    """
     lower, upper = filters if isinstance(filters, Filters) else Filters(*filters)
     if lower.grid != raw.grid:
         raise ValueError("filters must share the observation grid")
@@ -201,10 +210,13 @@ class RegularizedSolve:
 def _march(F: np.ndarray, alpha: float, h: float) -> np.ndarray:
     """Implicit forward marching of alpha P' + 4 P = P(y/2) + F, P(0) = 0.
 
-    Nodes up to ``SCALAR_NODES`` are marched one at a time; the read of
-    node 1 meets its own, still zero, value. Above, the half-argument reads
-    of nodes ``lo..2 lo - 2`` only touch nodes below ``lo``, so each such
-    block is one recurrence with the constant ``r / (r + 4)``, ``r = alpha / h``.
+    The half-argument reads of nodes ``lo..2 lo - 2`` only touch nodes
+    below ``lo``, so each such dyadic block is one linear recurrence with
+    a known source and the constant coefficient ``r / (r + 4)``,
+    ``r = alpha / h``, whose powers are formed once per march. The first
+    ``SCALAR_NODES`` nodes are marched node by node instead. At the first
+    node the read meets the not yet computed (zero) value there and
+    reduces to the boundary value 0.
     """
     n = F.size - 1
     r = alpha / h

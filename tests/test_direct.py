@@ -4,6 +4,7 @@ import pytest
 import celldiv.direct
 from celldiv.direct import (
     RateBounds,
+    _profile,
     _shoot,
     adjoint_residual,
     bump_rate,
@@ -175,9 +176,8 @@ def _full_march(B, h, lam):
 
 def _shot_profile(B, h, lam):
     """Residual and normalized profile ``v / max |v|`` of one ``_shoot`` march."""
-    res, Q, head, peak = _shoot(B, h, lam)
-    Q[: head.size] = head
-    return res, Q / peak
+    res, *pieces = _shoot(B, h, lam)
+    return res, _profile(*pieces)
 
 
 ACCEPTANCE_RATES = {
@@ -582,22 +582,20 @@ def test_scalar_tail_matches_vector_blocks(name, n, monkeypatch):
 
 @pytest.mark.parametrize("name, n", [(name, 4096) for name in ACCEPTANCE_RATES] + [("constant-20", 16384)])
 def test_root_profile_matches_full_march(name, n, monkeypatch):
-    # solve_direct forms the profile in the root march's Q, before it clips
-    # and rescales a copy: keep every march's pieces to read it back.
+    # Record the profile solve_direct forms, before it clips and rescales.
     grid = make_grid(40.0 if name == "constant-20" else 12.0, n)
     rate = SHOOT_RATES[name](grid)
-    marches = []
+    formed = []
 
-    def shoot(B, h, lam):
-        out = _shoot(B, h, lam)
-        marches.append((lam, out[1]))
-        return out
+    def profile(*pieces):
+        v = _profile(*pieces)
+        formed.append(v.copy())
+        return v
 
-    monkeypatch.setattr(celldiv.direct, "_shoot", shoot)
+    monkeypatch.setattr(celldiv.direct, "_profile", profile)
     pair = solve_direct(rate)
-    assert len(marches) == pair.iterations
-    (formed,) = [Q for lam, Q in marches if lam == pair.lambda0]
-    assert np.array_equal(formed, _full_march(rate.values, grid.spacing, pair.lambda0))
+    assert len(formed) == 1
+    assert np.array_equal(formed[0], _full_march(rate.values, grid.spacing, pair.lambda0))
 
 
 @pytest.mark.parametrize("name", ["constant-2", "step-down"])
