@@ -27,7 +27,6 @@ from .grid import (
     make_grid,
     norm,
     read_csv,
-    seminorm,
     write_csv,
 )
 from .harness import (
@@ -57,7 +56,6 @@ __all__ = [
     "make_grid",
     "derivative",
     "norm",
-    "seminorm",
     "read_csv",
     "write_csv",
     "RateBounds",

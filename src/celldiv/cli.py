@@ -54,6 +54,13 @@ def _add_grid_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float, default=1e-9)
 
 
+def _output(path: str) -> Path:
+    """The ``--output`` path, its parent directory created: every command writes here."""
+    out = Path(path)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    return out
+
+
 def _meta_path(output: Path) -> Path:
     return output.with_suffix(".meta.json")
 
@@ -63,8 +70,7 @@ def _cmd_direct(args) -> int:
     rate = harness.parse_rate_spec(args.bspec, grid)
     solve = solve_pair if args.which == "adjoint" else solve_direct
     pair = solve(rate, tol=args.tol)
-    out = Path(args.output)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    out = _output(args.output)
     profile = pair.phi if args.which == "adjoint" else pair.N
     write_csv(profile, out)
     report = check_invariants(pair, rate)
@@ -103,7 +109,7 @@ def _cmd_gre(args) -> int:
             worst = max(worst, rel)
             lines.append(f"{i},{probe.kind},{lhs!r},{rhs!r},{abs(lhs - rhs)!r},{scale!r}")
     lines.append(f"summary,max_relative_gap,{worst!r},,,")
-    Path(args.output).write_text("\n".join(lines) + "\n")
+    _output(args.output).write_text("\n".join(lines) + "\n")
     print(f"max relative balance gap: {worst:.3e}")
     return 0
 
@@ -118,7 +124,7 @@ def _cmd_gap(args) -> int:
         lines.append(f"{i},{s.delta!r},{s.delta_n_norm!r},{s.weighted_residual_norm!r},{s.ratio!r}")
     moment = float(report.moment_check[2])
     lines.append(f"summary,nu_hat,{report.nu_hat!r},moment_constant,{moment!r}")
-    Path(args.output).write_text("\n".join(lines) + "\n")
+    _output(args.output).write_text("\n".join(lines) + "\n")
     print(f"m={report.m} nu_hat={report.nu_hat:.6g} moment constant={moment:.6g}")
     return 0
 
@@ -162,7 +168,7 @@ def _cmd_toy(args) -> int:
     lines = ["epsilon,seed,alpha,error,bound,pass"]
     for r in report.rows:
         lines.append(f"{r.epsilon!r},{r.seed},{r.alpha!r},{r.error!r},{r.bound!r},{int(r.passed)}")
-    Path(args.output).write_text("\n".join(lines) + "\n")
+    _output(args.output).write_text("\n".join(lines) + "\n")
     if report.slope is not None:
         print(f"slope={report.slope:.4f} +/- {report.slope_halfwidth:.4f}")
     return 0 if all(r.passed for r in report.rows) else 3
@@ -194,8 +200,7 @@ def _cmd_invert(args) -> int:
     lam = None if args.lambda0 == "auto" else float(args.lambda0)
     obs = inverse.clamp_observation(data, (lower, upper), lambda0=lam)
     solve = inverse.recover_rate(obs, args.alpha, _SCHEMES[args.scheme])
-    out = Path(args.output)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    out = _output(args.output)
     out.write_text(_rate_table(grid.nodes, solve.rate, solve.defined))
     rep = inverse.stability_report(solve, inverse.exact_product_source(solve.data, solve.lambda0))
     diag = {

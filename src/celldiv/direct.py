@@ -339,9 +339,9 @@ def direct_residual(N: GridFunction, rate: RateBounds, lambda0: float) -> float:
     An O(h^2) discretization-error estimate, not the residual of the
     trapezoidal collocation that :func:`solve_direct` solves.
     """
-    B = rate.values
-    r = derivative(N).values + (lambda0 + B) * N.values - 4.0 * double_sample_values(B * N.values)
-    return norm(GridFunction(N.grid, r))
+    B, v = rate.values, N.values
+    r = derivative(v, N.grid.spacing) + (lambda0 + B) * v - 4.0 * double_sample_values(B * v)
+    return norm(r, N.grid)
 
 
 def solve_adjoint(
@@ -409,9 +409,9 @@ def adjoint_residual(phi: GridFunction, rate: RateBounds, lambda0: float) -> flo
     An O(h^2) discretization-error estimate, not the residual of the
     discrete fixed point that :func:`solve_adjoint` solves.
     """
-    B = rate.values
-    r = derivative(phi).values - (lambda0 + B) * phi.values + 2.0 * B * half_sample_values(phi.values)
-    return norm(GridFunction(phi.grid, r))
+    B, v = rate.values, phi.values
+    r = derivative(v, phi.grid.spacing) - (lambda0 + B) * v + 2.0 * B * half_sample_values(v)
+    return norm(r, phi.grid)
 
 
 def solve_pair(rate: RateBounds, tol: float = 1e-9) -> EigenPair:

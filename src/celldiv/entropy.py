@@ -146,7 +146,7 @@ def build_perturbation(
         base_rate=rate,
         base=base,
         perturbed=perturbed,
-        delta=norm(d_rate),
+        delta=norm(d_rate.values, grid),
         delta_n=GridFunction(grid, perturbed.N.values - base.N.values),
         delta_lambda=d_lambda,
         delta_r=GridFunction(grid, d_r_values),
@@ -221,7 +221,7 @@ def gre_terms(pair: PerturbationPair, probe: ConvexProbe) -> tuple[float, float,
     scale = trapezoid(
         coef * (np.abs(slope * u2) + np.abs(slope * u) + np.abs(val) + np.abs(val2)), grid
     ) + trapezoid(np.abs(pairing), grid)
-    return lhs, rhs, scale
+    return float(lhs), float(rhs), float(scale)
 
 
 def _threshold_cells(u: np.ndarray, u2: np.ndarray, xi: float, active: np.ndarray) -> np.ndarray:
@@ -317,7 +317,7 @@ def gap_study(
 
     b_max_family = rate.b_max
     for d in directions:
-        if norm(d) == 0.0:
+        if norm(d.values, grid) == 0.0:
             raise ValueError("zero perturbation direction rejected")
         b_max_family = max(b_max_family, float((rate.values + amplitude * d.values).max()))
     m = minimal_moment_exponent(base.lambda0, b_max_family)
@@ -327,8 +327,8 @@ def gap_study(
     for d in directions:
         scaled = GridFunction(grid, amplitude * d.values)
         pair = build_perturbation(rate, scaled, base, tol=tol)
-        dn_norm = norm(pair.delta_n)
-        weighted = norm(GridFunction(grid, pair.delta_r.values * (1.0 + x_m)))
+        dn_norm = norm(pair.delta_n.values, grid)
+        weighted = norm(pair.delta_r.values * (1.0 + x_m), grid)
         if dn_norm == 0.0:
             raise ValueError("direction produced no profile shift; ratio undefined")
         samples.append(

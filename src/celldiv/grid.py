@@ -15,11 +15,13 @@ Two sampling rules recur throughout and are kept consistent on purpose:
 
 Quadrature is the trapezoid rule, matching the piecewise-linear
 interpolation order. Derivatives are centered differences with one-sided
-second-order stencils at the two boundary nodes. The adjoint sweeps and
-the implicit marchers of the toy and inverse problems share one
-first-order linear recurrence; :func:`product_window` sizes the windows
-of its running products, the rows of its constant-coefficient closed form
-and the windows of the direct march's integrating factor.
+second-order stencils at the two boundary nodes. Norms and derivatives
+take plain node arrays. The adjoint sweeps solve a first-order linear
+recurrence with one coefficient per step, the implicit marchers of the
+toy and inverse problems one with a constant coefficient;
+:func:`product_window` sizes the windows of the running products, the
+rows of the constant-coefficient closed form and the windows of the
+direct march's integrating factor.
 """
 
 from __future__ import annotations
@@ -93,27 +95,15 @@ def trapezoid(values: np.ndarray, grid: Grid) -> float:
     return grid.spacing * (0.5 * v[0] + v[1:-1].sum() + 0.5 * v[-1])
 
 
-def norm(f: GridFunction, weight: np.ndarray | None = None, order: str = "L2") -> float:
-    """L1 or L2 norm by trapezoid quadrature, optionally with nodal weight values."""
-    w = 1.0 if weight is None else weight
-    if order == "L1":
-        return trapezoid(np.abs(f.values) * w, f.grid)
-    if order == "L2":
-        return float(np.sqrt(max(trapezoid(f.values ** 2 * w, f.grid), 0.0)))
-    raise ValueError(f"unknown norm order {order!r}")
+def norm(values: np.ndarray, grid: Grid, weight: np.ndarray | None = None) -> float:
+    """L2 norm of nodal values by trapezoid quadrature, optionally with nodal weight values."""
+    square = values * values if weight is None else values * values * weight
+    return float(np.sqrt(max(trapezoid(square, grid), 0.0)))
 
 
-def l2_norm(values: np.ndarray, grid: Grid) -> float:
-    """Unweighted L2 :func:`norm` of nodal values, without wrapping them."""
-    return float(np.sqrt(max(trapezoid(values * values, grid), 0.0)))
-
-
-def derivative(f: GridFunction) -> GridFunction:
-    """Discrete derivative: centered inside, one-sided second order at the ends."""
-    return f.with_values(derivative_values(f.values, f.grid.spacing))
-
-
-def derivative_values(values: np.ndarray, spacing: float) -> np.ndarray:
+def derivative(values: np.ndarray, spacing: float) -> np.ndarray:
+    """Discrete derivative of nodal values: centered inside, one-sided
+    second order at the ends."""
     v = np.asarray(values, dtype=float)
     if v.size < 3:
         raise ValueError("derivative needs at least three nodes")
@@ -124,18 +114,12 @@ def derivative_values(values: np.ndarray, spacing: float) -> np.ndarray:
     return d
 
 
-def seminorm(f: GridFunction, order: str = "H1") -> float:
-    """L2 norm of the first (H1) or second (H2) discrete derivative."""
-    if order == "H1":
-        return norm(derivative(f))
-    if order == "H2":
-        return norm(derivative(derivative(f)))
-    raise ValueError(f"unknown seminorm order {order!r}")
-
-
-def sobolev_norm(f: GridFunction) -> float:
-    """Full second-order Sobolev norm: sqrt(L2^2 + H1^2 + H2^2)."""
-    return float(np.sqrt(norm(f) ** 2 + seminorm(f, "H1") ** 2 + seminorm(f, "H2") ** 2))
+def sobolev_norm(values: np.ndarray, grid: Grid) -> float:
+    """Full second-order Sobolev norm sqrt(L2^2 + H1^2 + H2^2) of nodal values;
+    H1 and H2 are the L2 norms of the first and second discrete derivatives."""
+    d1 = derivative(values, grid.spacing)
+    d2 = derivative(d1, grid.spacing)
+    return float(np.sqrt(norm(values, grid) ** 2 + norm(d1, grid) ** 2 + norm(d2, grid) ** 2))
 
 
 def half_sample_values(values: np.ndarray, lo: int = 0, hi: int | None = None) -> np.ndarray:
@@ -177,18 +161,16 @@ def product_window(c: np.ndarray) -> int:
     return max(1, int(np.log(PRODUCT_LIMIT) / spread)) if spread > 0.0 else c.size
 
 
-def linear_recurrence(c, s: np.ndarray, x0: float = 0.0) -> np.ndarray:
-    """All of ``x_k = c_k x_{k-1} + s_k`` with ``x_{-1} = x0``.
+def linear_recurrence(c: np.ndarray, s: np.ndarray, x0: float = 0.0) -> np.ndarray:
+    """All of ``x_k = c_k x_{k-1} + s_k`` with ``x_{-1} = x0``, for one
+    positive coefficient ``c_k`` per step (a constant one is
+    :func:`constant_recurrence`'s).
 
-    ``c`` is a constant ``0 <= c < 1`` (solved by :func:`constant_recurrence`)
-    or one positive coefficient per step. Per-step coefficients use the
-    closed form ``x = P (x0 + cumsum(s / P))`` with the running product
-    ``P = cumprod(c)``, a few vector passes per window of
+    The closed form ``x = P (x0 + cumsum(s / P))`` with the running product
+    ``P = cumprod(c)`` takes a few vector passes per window of
     :func:`product_window` steps; each window starts a fresh product from
     the last value of the one before.
     """
-    if np.ndim(c) == 0:
-        return constant_recurrence(float(c), np.size(s))(s, x0)
     x = np.array(s, dtype=float)
     c = np.asarray(c, dtype=float)
     window = product_window(c)

@@ -210,7 +210,7 @@ def convergence_study(cfg: ExperimentConfig) -> StudyReport:
     pair = solve_direct(rate)  # the sweep never reads the adjoint
     report = check_invariants(pair, rate)
     truth_rate = rate.rate
-    h2 = sobolev_norm(pair.N)
+    h2 = sobolev_norm(pair.N.values, grid)
     # Built once per study: the filters, and each seed's noise draw, which
     # every level rescales (a noise-free study draws none).
     filters = default_filters(pair.N)

@@ -36,10 +36,10 @@ from .grid import (
     SCALAR_NODES,
     Grid,
     GridFunction,
-    derivative_values,
     constant_recurrence,
+    derivative,
     half_sample_values,
-    l2_norm,
+    norm,
     trapezoid,
 )
 
@@ -132,7 +132,7 @@ def clamp_observation(
     clamped = raw.with_values(np.clip(raw.values, lower.values, upper.values))
     achieved = None
     if truth is not None:
-        achieved = l2_norm(clamped.values - truth.values, raw.grid)
+        achieved = norm(clamped.values - truth.values, raw.grid)
     return NoisyObservation(clamped, achieved, lambda0)
 
 
@@ -248,8 +248,8 @@ def stability_report(solve: RegularizedSolve, F: np.ndarray) -> StabilityReport:
     h = grid.spacing
     alpha = solve.alpha
     P = solve.P.values
-    dP = derivative_values(P, h)
-    dF = derivative_values(F, h)
+    dP = derivative(P, h)
+    dF = derivative(F, h)
     f_scale = max(1.0, float(np.abs(F).max()))
     return StabilityReport(
         sup_alpha_p_sq=alpha * float(np.max(P ** 2)),
@@ -299,7 +299,7 @@ def solve_regularized_general(
 def exact_product_source(data: GridFunction, lambda0: float) -> np.ndarray:
     """Data terms of the product equation: lambda0 N(y/2) + 2 d/dy N(y/2)."""
     half = half_sample_values(data.values)
-    return lambda0 * half + 2.0 * derivative_values(half, data.grid.spacing)
+    return lambda0 * half + 2.0 * derivative(half, data.grid.spacing)
 
 
 def recover_rate(
@@ -370,7 +370,7 @@ def weighted_product_error(solve: RegularizedSolve, true_rate: GridFunction) -> 
     Equals the L2 norm of P - B N_obs, which extends the weighted rate
     error over the whole grid without dividing by the observation.
     """
-    return l2_norm(solve.P.values - true_rate.values * solve.data.values, solve.grid)
+    return norm(solve.P.values - true_rate.values * solve.data.values, solve.grid)
 
 
 def rate_error_on_support(
@@ -378,9 +378,8 @@ def rate_error_on_support(
     true_rate: GridFunction,
     weight_values: np.ndarray | None = None,
 ) -> float:
-    """Plain (or weighted) L2 rate error over the defined region."""
+    """L2 rate error over the defined region, weighted as in :func:`norm` when
+    ``weight_values`` are given."""
     diff = np.subtract(solve.rate, true_rate.values, out=np.zeros_like(solve.rate),
                        where=solve.defined)
-    if weight_values is not None:
-        diff = diff * np.sqrt(np.maximum(weight_values, 0.0))
-    return l2_norm(diff, solve.grid)
+    return norm(diff, solve.grid, weight_values)

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import Grid, GridFunction, l2_norm
+from .grid import Grid, GridFunction, norm
 
 
 class UnitNoise(NamedTuple):
@@ -27,7 +27,7 @@ class UnitNoise(NamedTuple):
 def unit_noise(grid: Grid, seed: int) -> UnitNoise:
     """Draw the unit-variance node noise of ``seed`` on ``grid``."""
     z = np.random.default_rng(seed).standard_normal(grid.intervals + 1)
-    z_norm = l2_norm(z, grid)
+    z_norm = norm(z, grid)
     if z_norm == 0.0:
         raise RuntimeError("degenerate noise draw")
     return UnitNoise(z, z_norm)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fitting import fit_loglog_slope
-from .grid import GridFunction, derivative, linear_recurrence, norm, seminorm
+from .grid import GridFunction, constant_recurrence, derivative, norm
 from .noise import perturbed, unit_noise
 
 __all__ = [
@@ -43,6 +43,12 @@ ALPHA_FLOOR = 1e-8
 
 class NoiseFloorWarning(UserWarning):
     """Raised-as-warning flag: noise level zero, smallest positive alpha used."""
+
+
+def _curvature(f: GridFunction) -> float:
+    """H2 seminorm of ``f``: the L2 norm of its second discrete derivative."""
+    h = f.grid.spacing
+    return norm(derivative(derivative(f.values, h), h), f.grid)
 
 
 @dataclass(frozen=True)
@@ -70,7 +76,7 @@ class ToyProblem:
         if abs(self.data.values[0]) > 1e-12 * scale:
             raise ValueError("data must vanish at the left endpoint")
         if self.apriori is not None:
-            observed = seminorm(self.data, "H2")
+            observed = _curvature(self.data)
             if observed > self.apriori * (1.0 + 1e-3) + 1e-9:
                 raise ValueError(
                     f"data curvature {observed:.6g} exceeds the declared bound {self.apriori:.6g}"
@@ -83,18 +89,19 @@ class ToyProblem:
         The discrete slope carries the second-order stencil error, so the
         test tolerance scales with the squared mesh width.
         """
-        slope = derivative(self.data).values
+        slope = derivative(self.data.values, self.data.grid.spacing)
         scale = max(1.0, float(np.abs(slope).max()))
         tol = max(1e-8, 20.0 * self.data.grid.spacing ** 2)
         return abs(slope[0]) <= tol * scale
 
     def curvature_bound(self) -> float:
-        return self.apriori if self.apriori is not None else seminorm(self.data, "H2")
+        return self.apriori if self.apriori is not None else _curvature(self.data)
 
     def reference(self) -> GridFunction:
         if self.u_true is not None:
             return self.u_true
-        return self.data.with_values(derivative(self.data).values / self.weight.values)
+        slope = derivative(self.data.values, self.data.grid.spacing)
+        return self.data.with_values(slope / self.weight.values)
 
 
 def toy_solve(problem: ToyProblem, alpha: float, data: GridFunction | None = None) -> GridFunction:
@@ -110,7 +117,7 @@ def toy_solve(problem: ToyProblem, alpha: float, data: GridFunction | None = Non
     h = problem.data.grid.spacing
     # w_{j+1} = (alpha w_j + v_{j+1} - v_j) / (alpha + h),  w_0 = 0
     w = np.zeros_like(v)
-    w[1:] = linear_recurrence(alpha / (alpha + h), np.diff(v) / (alpha + h))
+    w[1:] = constant_recurrence(alpha / (alpha + h), v.size - 1)(np.diff(v) / (alpha + h))
     return problem.data.with_values(w / problem.weight.values)
 
 
@@ -165,12 +172,12 @@ def toy_study(problem: ToyProblem, seeds: int, epsilons) -> ToyStudyReport:
     bound = problem.curvature_bound()
     reference = problem.reference()
     weight = problem.weight.values ** 2
-    h = problem.data.grid.spacing
+    grid = problem.data.grid
+    h = grid.spacing
     levels = sorted(set(float(e) for e in epsilons), reverse=True)
     if levels and levels[-1] < 0:
         raise ValueError("noise levels must be nonnegative")
     # Each seed's noise draw serves every level (a noise-free study draws none).
-    grid = problem.data.grid
     draws = [unit_noise(grid, seed) for seed in range(seeds)] if levels and levels[0] > 0.0 else []
     rows: list[ToyStudyRow] = []
     for eps in levels:
@@ -184,8 +191,8 @@ def toy_study(problem: ToyProblem, seeds: int, epsilons) -> ToyStudyReport:
                 alpha = optimal_alpha(eps, bound)
                 noisy = perturbed(problem.data, eps, draws[seed])
             solution = toy_solve(problem, alpha, data=noisy)
-            err = norm(solution.with_values(solution.values - reference.values), weight)
-            predicted = 2.0 * np.sqrt(eps * bound)
+            err = norm(solution.values - reference.values, grid, weight)
+            predicted = 2.0 * float(np.sqrt(eps * bound))
             if eps == 0.0:
                 ok = err <= 1.1 * alpha * bound + 2.0 * h * bound
             else:

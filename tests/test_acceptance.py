@@ -21,7 +21,7 @@ from celldiv.direct import (
 )
 from celldiv.entropy import ConvexProbe, build_perturbation, gap_study, gre_terms, random_bump_directions
 from celldiv.fitting import fit_loglog_slope
-from celldiv.grid import GridFunction, make_grid, norm, seminorm
+from celldiv.grid import GridFunction, derivative, make_grid, norm
 from celldiv.harness import ExperimentConfig, add_noise, convergence_study, default_filters
 from celldiv.inverse import (
     clamp_observation,
@@ -56,7 +56,7 @@ def test_criterion_1_constant_rate_oracle(grid12, unit_series):
     pair = solve_direct(constant_rate(grid12, 1.0), tol=1e-9)
     elapsed = time.perf_counter() - t0
     lam_err = abs(pair.lambda0 - 1.0)
-    dist = norm(GridFunction(grid12, pair.N.values - unit_series.values))
+    dist = norm(pair.N.values - unit_series.values, grid12)
     assert lam_err <= 1e-3
     assert dist <= 1e-3
     assert elapsed <= 30.0
@@ -149,7 +149,7 @@ def test_criterion_5_toy_module():
     alpha = 0.1
     u = toy_solve(problem, alpha)
     closed = 2.0 * x - 2.0 * alpha * (1.0 - np.exp(-x / alpha))
-    closed_err = norm(GridFunction(grid, u.values - closed))
+    closed_err = norm(u.values - closed, grid)
     assert closed_err <= 1e-3
 
     # stability: alpha ||u_alpha|| <= ||v|| over the data family
@@ -157,7 +157,8 @@ def test_criterion_5_toy_module():
         data = GridFunction(grid, values - values[0])
         p = ToyProblem(ones, data)
         for a in (1e-3, 1e-2, 1e-1):
-            assert a * norm(toy_solve(p, a), weight) <= norm(data) * (1.0 + 1e-9)
+            u = toy_solve(p, a).values
+            assert a * norm(u, grid, weight) <= norm(data.values, grid) * (1.0 + 1e-9)
 
     # consistency on compatible data
     suite = [
@@ -168,9 +169,9 @@ def test_criterion_5_toy_module():
     for values, exact in suite:
         p = ToyProblem(ones, GridFunction(grid, values), u_true=GridFunction(grid, exact))
         assert p.compatible
-        curvature = seminorm(p.data, "H2")
+        curvature = norm(derivative(derivative(p.data.values, grid.spacing), grid.spacing), grid)
         for a in (1e-2, 1e-1):
-            err = norm(GridFunction(grid, toy_solve(p, a).values - exact), weight)
+            err = norm(toy_solve(p, a).values - exact, grid, weight)
             assert err <= 1.02 * a * curvature + 5.0 * grid.spacing
 
     # balanced-rule slope and total error bound
@@ -285,7 +286,7 @@ def test_criterion_10_scheme_equivalence():
         obs = clamp_observation(series, default_filters(series), truth=series, lambda0=1.0)
         fd = recover_rate(obs, alpha, "direct-fd")
         dfree = recover_rate(obs, alpha, "derivative-free")
-        gap = norm(GridFunction(grid, fd.P.values - dfree.P.values))
+        gap = norm(fd.P.values - dfree.P.values, grid)
         scaled[n] = gap / grid.spacing
     values = list(scaled.values())
     assert max(values) / min(values) <= 1.5  # gap scales like the mesh width

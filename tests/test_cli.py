@@ -296,8 +296,12 @@ def test_gap_subcommand(tmp_path):
     assert len(lines) == 2 + 3
 
 
-def _numeric_fields(path, labels=("summary", "nu_hat", "moment_constant")):
-    """Every non-empty field of a CSV body except the summary labels."""
+_LABELS = ("summary", "nu_hat", "moment_constant", "max_relative_gap", "square", "linear",
+           "positive-part")
+
+
+def _numeric_fields(path, labels=_LABELS):
+    """Every non-empty field of a CSV body except the summary and probe labels."""
     fields = []
     for ln in path.read_text().splitlines()[1:]:
         fields += [f for f in ln.split(",") if f and f not in labels]
@@ -312,11 +316,43 @@ def test_invert_and_gap_write_plain_numbers(tmp_path):
     gap = tmp_path / "gap.csv"
     main(["gap", "--bspec", "constant:1.0", "--grid-n", "256", "--directions", "2",
           "--output", str(gap)])
-    for path in (rate, gap):
+    gre = tmp_path / "gre.csv"
+    main(["gre", "--bspec", "constant:1.0", "--grid-n", "256", "--directions", "2",
+          "--output", str(gre)])
+    toy = tmp_path / "toy.csv"
+    main(["toy", "--E", "2.0", "--epsilons", "1e-4,1e-3", "--seeds", "2", "--grid-n", "256",
+          "--output", str(toy)])
+    for path in (rate, gap, gre, toy):
         fields = _numeric_fields(path)
         assert fields
         for f in fields:
             float(f)  # raises on numpy reprs such as np.float64(0.5)
+    # the plain cells carry the same numbers: gre's gap is |lhs - rhs|, toy's
+    # bound is 2 sqrt(epsilon E)
+    for row in gre.read_text().splitlines()[1:-1]:
+        _, _, lhs, rhs, gap_cell, _ = row.split(",")
+        assert float(gap_cell) == abs(float(lhs) - float(rhs))
+    for row in toy.read_text().splitlines()[1:]:
+        eps, _, _, _, bound, _ = row.split(",")
+        assert float(bound) == 2.0 * np.sqrt(float(eps) * 2.0)
+
+
+@pytest.mark.parametrize("which", ["direct", "adjoint", "invert", "gap", "gre", "toy"])
+def test_output_parent_directory_is_created(tmp_path, which):
+    grid_flags = ["--bspec", "constant:1.0", "--grid-n", "256"]
+    args = {
+        "direct": ["direct", *grid_flags],
+        "adjoint": ["adjoint", *grid_flags],
+        "invert": ["invert", "--data", str(tmp_path / "N.csv"), "--alpha", "0.01"],
+        "gap": ["gap", *grid_flags, "--directions", "1"],
+        "gre": ["gre", *grid_flags, "--directions", "1"],
+        "toy": ["toy", "--epsilons", "1e-3", "--seeds", "1", "--grid-n", "256"],
+    }[which]
+    if which == "invert":
+        main(["direct", *grid_flags, "--output", str(tmp_path / "N.csv")])
+    out = tmp_path / "sub" / "x.csv"
+    assert main([*args, "--output", str(out)]) == 0
+    assert out.read_text()
 
 
 def test_gap_rejects_max_iters(tmp_path, capsys):

@@ -99,7 +99,7 @@ def test_add_noise_exact_preclamp_distance(grid12, unit_series):
 
     eps = 1e-3
     raw = perturbed(unit_series, eps, seed=3)
-    achieved = norm(raw.with_values(raw.values - unit_series.values))
+    achieved = norm(raw.values - unit_series.values, raw.grid)
     assert achieved == pytest.approx(eps, rel=1e-12)
 
 

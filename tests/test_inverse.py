@@ -118,7 +118,7 @@ def test_general_solve_recovers_product_from_exact_source(grid12, unit_series):
     F = GridFunction(grid12, exact_product_source(unit_series, 1.0))
     solve = solve_regularized_general(unit_series, F, 1e-3)
     # P approximates B N = N for the unit rate
-    err = norm(GridFunction(grid12, solve.P.values - unit_series.values))
+    err = norm(solve.P.values - unit_series.values, grid12)
     assert err <= 0.05 * (1e-3 / grid12.spacing + 1.0) * grid12.spacing + 0.01
 
 
@@ -160,7 +160,7 @@ def test_schemes_agree_to_first_order(unit_series, grid12):
         obs = clamp_observation(series, default_filters(series), truth=series, lambda0=1.0)
         fd = recover_rate(obs, 1e-2, "direct-fd")
         dfree = recover_rate(obs, 1e-2, "derivative-free")
-        gaps[n] = norm(GridFunction(grid, fd.P.values - dfree.P.values)) / grid.spacing
+        gaps[n] = norm(fd.P.values - dfree.P.values, grid) / grid.spacing
     assert 0.5 <= gaps[2048] / gaps[4096] <= 2.0  # difference scales like h
 
 
@@ -198,7 +198,7 @@ def test_weak_stability_identical_inputs(exact_obs):
 
 def test_weak_stability_bound_scaling(grid12, unit_series, exact_obs):
     obs = add_noise(unit_series, 1e-3, seed=0, lambda0=1.0)
-    data_gap = norm(GridFunction(grid12, obs.data.values - unit_series.values))
+    data_gap = norm(obs.data.values - unit_series.values, grid12)
     for alpha in (0.02, 0.04):
         ex = recover_rate(exact_obs, alpha)
         nz = recover_rate(obs, alpha)

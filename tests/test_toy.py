@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from celldiv.grid import GridFunction, make_grid, norm, seminorm
+from celldiv.grid import GridFunction, derivative, make_grid, norm
 from celldiv.toy import (
     ALPHA_FLOOR,
     NoiseFloorWarning,
@@ -11,6 +11,12 @@ from celldiv.toy import (
     toy_study,
 )
 from celldiv.noise import perturbed
+
+
+def _h2(f):
+    """H2 seminorm: the L2 norm of the second discrete derivative."""
+    h = f.grid.spacing
+    return norm(derivative(derivative(f.values, h), h), f.grid)
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +64,7 @@ def test_closed_form_square_data(square_problem):
     alpha = 0.1
     u = toy_solve(square_problem, alpha)
     closed = 2.0 * x - 2.0 * alpha * (1.0 - np.exp(-x / alpha))
-    assert norm(GridFunction(grid, u.values - closed)) <= 5.0 * grid.spacing
+    assert norm(u.values - closed, grid) <= 5.0 * grid.spacing
 
 
 def test_consistency_bound_square_data(square_problem):
@@ -68,7 +74,7 @@ def test_consistency_bound_square_data(square_problem):
     alpha = 0.1
     u = toy_solve(square_problem, alpha)
     weight = square_problem.weight.values ** 2
-    err = norm(GridFunction(grid, u.values - 2.0 * x), weight)
+    err = norm(u.values - 2.0 * x, grid, weight)
     assert err <= alpha * 2.0
     analytic = 2.0 * alpha * np.sqrt(
         np.trapezoid((1.0 - np.exp(-x / alpha)) ** 2, dx=grid.spacing)
@@ -105,7 +111,7 @@ def test_stability_estimate_family(square_problem):
         p = ToyProblem(square_problem.weight, data)
         for alpha in (1e-3, 1e-2, 1e-1):
             u = toy_solve(p, alpha)
-            assert alpha * norm(u, weight) <= norm(data) * (1.0 + 1e-9)
+            assert alpha * norm(u.values, grid, weight) <= norm(data.values, grid) * (1.0 + 1e-9)
 
 
 def test_consistency_estimate_compatible_suite():
@@ -121,10 +127,10 @@ def test_consistency_estimate_compatible_suite():
     for values, exact in suite:
         p = ToyProblem(ones, GridFunction(grid, values), u_true=GridFunction(grid, exact))
         assert p.compatible
-        curvature = seminorm(p.data, "H2")
+        curvature = _h2(p.data)
         for alpha in (1e-2, 5e-2, 1e-1):
             u = toy_solve(p, alpha)
-            err = norm(GridFunction(grid, u.values - exact), weight)
+            err = norm(u.values - exact, grid, weight)
             assert err <= 1.02 * alpha * curvature + 5.0 * grid.spacing
 
 
@@ -138,8 +144,8 @@ def test_incompatible_data_shows_boundary_layer():
     assert not p.compatible
     alpha = 0.01
     u = toy_solve(p, alpha)
-    err = norm(GridFunction(grid, u.values - 1.0), ones.values ** 2)
-    curvature = seminorm(p.data, "H2")  # about zero for linear data
+    err = norm(u.values - 1.0, grid, ones.values ** 2)
+    curvature = _h2(p.data)  # about zero for linear data
     assert err > alpha * curvature + 10.0 * grid.spacing  # bound genuinely fails
 
 
