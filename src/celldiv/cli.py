@@ -18,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -31,27 +32,38 @@ OUT_DIR_ENV = "CELLDIV_OUT_DIR"
 # Short scheme names of ``invert --scheme`` and the sweep's ``scheme`` key.
 _SCHEMES = {"fd": "direct-fd", "dfree": "derivative-free"}
 
-_CONFIG_KEYS = (
-    "bspec",
-    "grid.length",
-    "grid.n",
-    "epsilons",
-    "alpha.rule",
-    "alpha.c",
-    "seeds",
-    "scheme",
-    "out.dir",
-    "formats",
-    "slope.min",
-    "slope.max",
-)
+# Grid of the rate-driven commands and the sweep, unless a flag or key says otherwise.
+_GRID_DEFAULTS = {"grid_length": 12.0, "grid_n": 4096}
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(e) for e in text.split(","))
+
+
+# Sweep keys: config-file key (and ``--<key>`` flag) -> (ExperimentConfig
+# field, value parser). A key left out takes the field's own default.
+_CONFIG_KEYS = {
+    "bspec": ("bspec", str),
+    "grid.length": ("grid_length", float),
+    "grid.n": ("grid_n", int),
+    "epsilons": ("epsilons", _floats),
+    "alpha.rule": ("alpha_rule", str),
+    "alpha.c": ("alpha_c", float),
+    "seeds": ("seeds", int),
+    "scheme": ("scheme", lambda s: _SCHEMES.get(s, s)),
+    "out.dir": ("out_dir", str),
+    "formats": ("formats", lambda s: tuple(s.split(","))),
+    "slope.min": ("slope_min", float),
+    "slope.max": ("slope_max", float),
+}
 
 
 def _add_grid_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--bspec", required=True, help="constant:<v> | piecewise:<file> | table:<file>")
-    p.add_argument("--grid-length", type=float, default=12.0)
-    p.add_argument("--grid-n", type=int, default=4096)
+    p.add_argument("--grid-length", type=float)
+    p.add_argument("--grid-n", type=int)
     p.add_argument("--tol", type=float, default=1e-9)
+    p.set_defaults(**_GRID_DEFAULTS)
 
 
 def _output(path: str) -> Path:
@@ -146,14 +158,12 @@ def _cmd_toy(args) -> int:
             4096 if args.grid_n is None else args.grid_n,
         )
         data = GridFunction(grid, grid.nodes ** 2)
-        u_true = GridFunction(grid, 2.0 * grid.nodes)
     elif args.v.startswith("table:"):
         if args.grid_length is not None or args.grid_n is not None:
             raise SystemExit("--grid-length and --grid-n do not apply to --v table:<file>, "
                              "whose grid is the table's")
         data = read_csv(args.v.split(":", 1)[1])
         grid = data.grid
-        u_true = None
     else:
         raise SystemExit(f"unknown data spec {args.v!r}")
     if args.weight.startswith("const:"):
@@ -162,9 +172,10 @@ def _cmd_toy(args) -> int:
         weight = read_csv(args.weight.split(":", 1)[1])
     else:
         raise SystemExit(f"unknown weight spec {args.weight!r}")
-    problem = toy.ToyProblem(weight, data, apriori=args.E, u_true=u_true)
-    epsilons = [float(e) for e in args.epsilons.split(",")]
-    report = toy.toy_study(problem, args.seeds, epsilons)
+    problem = toy.ToyProblem(weight, data, apriori=args.E)
+    if args.v == "x2":  # int_0^x w u = x^2 is solved by u = 2x / w
+        problem = replace(problem, u_true=data.with_values(2.0 * grid.nodes / weight.values))
+    report = toy.toy_study(problem, args.seeds, _floats(args.epsilons))
     lines = ["epsilon,seed,alpha,error,bound,pass"]
     for r in report.rows:
         lines.append(f"{r.epsilon!r},{r.seed},{r.alpha!r},{r.error!r},{r.bound!r},{int(r.passed)}")
@@ -185,23 +196,17 @@ def _rate_table(nodes: np.ndarray, rate: np.ndarray, defined: np.ndarray) -> str
 
 def _cmd_invert(args) -> int:
     data = read_csv(args.data)
-    grid = data.grid
-    if args.filter_upper == "auto":
-        smooth = np.convolve(np.maximum(data.values, 0.0), np.ones(5) / 5.0, mode="same")
-        upper_values = harness.FILTER_MULTIPLE * smooth
-        upper_values[0] = 0.0
-        upper = GridFunction(grid, upper_values)
-    else:
-        upper = read_csv(args.filter_upper)
-    if args.filter_lower == "zero":
-        lower = GridFunction(grid, np.zeros_like(data.values))
-    else:
+    smooth = np.convolve(np.maximum(data.values, 0.0), np.ones(5) / 5.0, mode="same")
+    lower, upper = harness.default_filters(data.with_values(smooth))
+    if args.filter_lower != "zero":
         lower = read_csv(args.filter_lower)
+    if args.filter_upper != "auto":
+        upper = read_csv(args.filter_upper)
     lam = None if args.lambda0 == "auto" else float(args.lambda0)
     obs = inverse.clamp_observation(data, (lower, upper), lambda0=lam)
     solve = inverse.recover_rate(obs, args.alpha, _SCHEMES[args.scheme])
     out = _output(args.output)
-    out.write_text(_rate_table(grid.nodes, solve.rate, solve.defined))
+    out.write_text(_rate_table(data.grid.nodes, solve.rate, solve.defined))
     rep = inverse.stability_report(solve, inverse.exact_product_source(solve.data, solve.lambda0))
     diag = {
         "alpha": solve.alpha,
@@ -236,30 +241,17 @@ def _load_config(path: str) -> dict[str, str]:
     return cfg
 
 
-def _cmd_sweep(args, overrides: dict[str, str]) -> int:
+def _cmd_sweep(args) -> int:
     cfg = _load_config(args.config) if args.config else {}
-    cfg.update({k: v for k, v in overrides.items() if v is not None})
+    cfg.update({k: getattr(args, k) for k in _CONFIG_KEYS if getattr(args, k) is not None})
     missing = [k for k in ("bspec", "epsilons") if k not in cfg]
     if missing:
         raise SystemExit(f"missing configuration keys: {missing}")
-    out_dir = cfg.get("out.dir") or os.environ.get(OUT_DIR_ENV) or "."
-    scheme = cfg.get("scheme", "dfree")
-    config = harness.ExperimentConfig(
-        bspec=cfg["bspec"],
-        grid_length=float(cfg.get("grid.length", 12.0)),
-        grid_n=int(cfg.get("grid.n", 4096)),
-        epsilons=tuple(float(e) for e in cfg["epsilons"].split(",")),
-        alpha_rule=cfg.get("alpha.rule", "sqrt"),
-        alpha_c=float(cfg.get("alpha.c", 1.0)),
-        seeds=int(cfg.get("seeds", 10)),
-        scheme=_SCHEMES.get(scheme, scheme),
-        out_dir=out_dir,
-        formats=tuple(cfg.get("formats", "csv").split(",")),
-        slope_min=float(cfg["slope.min"]) if "slope.min" in cfg else None,
-        slope_max=float(cfg["slope.max"]) if "slope.max" in cfg else None,
-    )
+    given = {field: parse(cfg[k]) for k, (field, parse) in _CONFIG_KEYS.items() if k in cfg}
+    given["out_dir"] = given.get("out_dir") or os.environ.get(OUT_DIR_ENV) or "."
+    config = harness.ExperimentConfig(**{**_GRID_DEFAULTS, **given})
     report = harness.convergence_study(config)
-    written = harness.emit_report(report, out_dir, config.formats)
+    written = harness.emit_report(report, config.out_dir, config.formats)
     for kind, path in written.items():
         print(f"wrote {kind}: {path}")
     if report.slope is not None:
@@ -267,11 +259,11 @@ def _cmd_sweep(args, overrides: dict[str, str]) -> int:
     if not report.invariants_passed:
         print("synthesis invariants failed", file=sys.stderr)
         return 2
-    if config.slope_min is not None and (report.slope is None or report.slope < config.slope_min):
-        print("slope below acceptance threshold", file=sys.stderr)
-        return 2
-    if config.slope_max is not None and (report.slope is None or report.slope > config.slope_max):
-        print("slope above acceptance threshold", file=sys.stderr)
+    slope = report.slope
+    below = config.slope_min is not None and (slope is None or slope < config.slope_min)
+    above = config.slope_max is not None and (slope is None or slope > config.slope_max)
+    if below or above:
+        print(f"slope {'below' if below else 'above'} acceptance threshold", file=sys.stderr)
         return 2
     return 0
 
@@ -321,8 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="noise-level convergence study")
     p.add_argument("--config", default=None, help="flat key = value configuration file")
     for key in _CONFIG_KEYS:
-        p.add_argument(f"--{key}", dest=f"cfg_{key.replace('.', '_')}", default=None)
-    p.set_defaults(func=None)
+        p.add_argument(f"--{key}")
+    p.set_defaults(func=_cmd_sweep)
 
     return parser
 
@@ -332,11 +324,6 @@ _PARSER = build_parser()
 
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
-    if args.command == "sweep":
-        overrides = {
-            key: getattr(args, f"cfg_{key.replace('.', '_')}") for key in _CONFIG_KEYS
-        }
-        return _cmd_sweep(args, overrides)
     return args.func(args)
 
 

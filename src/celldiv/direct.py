@@ -279,7 +279,12 @@ def solve_direct(rate: RateBounds, tol: float = 1e-9) -> EigenPair:
 
     lo, hi = residual(lam_lo), residual(lam_hi)
     if lo[1] * hi[1] > 0.0:
-        raise RuntimeError(f"shooting residual has no sign change on [{lam_lo:.6g}, {lam_hi:.6g}]")
+        raise RuntimeError(
+            f"shooting residual has no sign change on [{lam_lo:.6g}, {lam_hi:.6g}]: "
+            f"residuals {lo[1]:.3g} and {hi[1]:.3g} at its ends, L b_min = "
+            f"{grid.length * rate.b_min:.3g}; a small L b_min loses mass past L, "
+            "so a longer --grid-length may help"
+        )
     lam, _, pieces = _brent(residual, lo, hi, max(tol * h, _ROOT_FLOOR / h))
     v = _profile(*pieces)
 

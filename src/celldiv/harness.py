@@ -79,9 +79,7 @@ class ExperimentConfig:
             raise ValueError(f"unknown alpha rule {self.alpha_rule!r}")
         if self.alpha_c <= 0.0:
             raise ValueError("alpha constant must be positive")
-        unknown = set(self.formats) - {"csv", "svg"}
-        if unknown:
-            raise ValueError(f"unknown output formats {sorted(unknown)}")
+        _check_formats(self.formats)
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
 
@@ -246,14 +244,14 @@ def convergence_study(cfg: ExperimentConfig) -> StudyReport:
     return StudyReport(rows, slope, halfwidth, report.passed)
 
 
-def _csv_lines(report: StudyReport) -> list[str]:
+def _csv_text(report: StudyReport) -> str:
     lines = [CSV_SCHEMA]
     for r in report.rows:
         lines.append(
             f"{r.epsilon!r},{r.alpha!r},{r.seed},{r.err_weighted!r},"
             f"{r.err_plain!r},{r.h2_norm!r},{r.runtime_ms}"
         )
-    return lines
+    return "\n".join(lines) + "\n"
 
 
 def _svg_plot(report: StudyReport) -> str:
@@ -295,6 +293,16 @@ def _svg_plot(report: StudyReport) -> str:
     return "\n".join(body) + "\n"
 
 
+# Output format -> the file text of a report, in writing order.
+_RENDERERS = {"csv": _csv_text, "svg": _svg_plot}
+
+
+def _check_formats(formats) -> None:
+    unknown = set(formats) - set(_RENDERERS)
+    if unknown:
+        raise ValueError(f"unknown output formats {sorted(unknown)}")
+
+
 def emit_report(
     report: StudyReport,
     out_dir: str | Path,
@@ -308,18 +316,12 @@ def emit_report(
     """
     if not report.rows:
         raise ValueError("refusing to emit an empty report")
-    unknown = set(formats) - {"csv", "svg"}
-    if unknown:
-        raise ValueError(f"unknown output formats {sorted(unknown)}")
+    _check_formats(formats)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: dict[str, Path] = {}
-    if "csv" in formats:
-        path = out / f"{basename}.csv"
-        path.write_text("\n".join(_csv_lines(report)) + "\n")
-        written["csv"] = path
-    if "svg" in formats:
-        path = out / f"{basename}.svg"
-        path.write_text(_svg_plot(report))
-        written["svg"] = path
+    for kind, render in _RENDERERS.items():
+        if kind in formats:
+            written[kind] = out / f"{basename}.{kind}"
+            written[kind].write_text(render(report))
     return written

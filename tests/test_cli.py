@@ -1,10 +1,12 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 import celldiv.direct
-from celldiv.cli import _rate_table, main
+import celldiv.harness
+from celldiv.cli import _CONFIG_KEYS, _rate_table, main
 from celldiv.direct import bump_rate, constant_b_series
 from celldiv.grid import GridFunction, make_grid, read_csv, write_csv
 
@@ -57,6 +59,17 @@ def test_direct_tol_sets_root_iterations(tmp_path):
               "--output", str(out)])
         iterations[tol] = json.loads(out.with_suffix(".meta.json").read_text())["iterations"]
     assert iterations["1e-3"] < iterations["1e-12"]
+
+
+def test_direct_without_sign_change_names_its_numbers(tmp_path):
+    # L b_min = 12 x 0.2: mass leaks past L and the bracket holds no root
+    with pytest.raises(RuntimeError, match="no sign change") as err:
+        main(["direct", "--bspec", "constant:0.2", "--grid-n", "1024",
+              "--output", str(tmp_path / "N.csv")])
+    message = str(err.value)
+    assert re.search(r"residuals \S+ and \S+ at its ends", message)
+    assert "L b_min = 2.4;" in message
+    assert "a longer --grid-length may help" in message
 
 
 def test_adjoint_subcommand(tmp_path):
@@ -124,6 +137,16 @@ def test_toy_table_data_rejects_grid_flags(tmp_path, flag):
         main(["toy", "--v", f"table:{data}", *flag, "--output", str(tmp_path / "toy.csv")])
 
 
+@pytest.mark.parametrize("weight", ["const:0.5", "const:2.0"])
+def test_toy_x2_reference_divides_by_the_weight(tmp_path, weight):
+    # int_0^x w u = x^2 is solved by u = 2x / w, not by 2x
+    out = tmp_path / "toy.csv"
+    code = main(["toy", "--grid-n", "1024", "--E", "2.0", "--lambda", weight,
+                 "--epsilons", "0,1e-4,1e-3", "--output", str(out)])
+    assert code == 0
+    assert all(ln.endswith(",1") for ln in out.read_text().splitlines()[1:])
+
+
 def test_invert_subcommand(tmp_path):
     profile = tmp_path / "N.csv"
     main(
@@ -165,6 +188,20 @@ def test_invert_rejects_nonpositive_or_nonfinite_lambda0(tmp_path, lambda0):
     with pytest.raises(ValueError, match="lambda0 must be a finite positive"):
         main(["invert", "--data", str(data), "--lambda0", lambda0, "--alpha", "0.01", "--output", str(out)])
     assert not out.exists()
+
+
+def test_invert_filter_files_replace_their_envelope(tmp_path):
+    data = tmp_path / "N.csv"
+    main(["direct", "--bspec", "constant:1.0", "--grid-n", "1024", "--output", str(data)])
+    profile = read_csv(data)
+    half = write_csv(profile.with_values(0.5 * profile.values), tmp_path / "half.csv")
+    base = ["invert", "--data", str(data), "--alpha", "0.01"]
+    assert main([*base, "--output", str(tmp_path / "auto.csv")]) == 0
+    assert main([*base, "--filter-upper", str(half), "--output", str(tmp_path / "half_up.csv")]) == 0
+    assert (tmp_path / "half_up.csv").read_text() != (tmp_path / "auto.csv").read_text()
+    with pytest.raises(ValueError, match="filter envelopes cross"):
+        main([*base, "--filter-upper", str(half), "--filter-lower", str(data),
+              "--output", str(tmp_path / "crossed.csv")])
 
 
 def rate_table_loop(nodes, rate, defined):
@@ -253,6 +290,47 @@ def test_sweep_rejects_unknown_key(tmp_path):
     cfg.write_text("bspec = constant:1.0\nepsilons = 1e-3\nturbo = yes\n")
     with pytest.raises(SystemExit):
         main(["sweep", "--config", str(cfg)])
+
+
+# One non-default value per sweep key: (flag text, parsed ExperimentConfig field).
+_SWEEP_KEY_VALUES = {
+    "bspec": ("constant:2.0", "constant:2.0"),
+    "grid.length": ("8.5", 8.5),
+    "grid.n": ("512", 512),
+    "epsilons": ("1e-2,1e-3", (1e-2, 1e-3)),
+    "alpha.rule": ("fixed", "fixed"),
+    "alpha.c": ("0.5", 0.5),
+    "seeds": ("3", 3),
+    "scheme": ("fd", "direct-fd"),
+    "out.dir": ("elsewhere", "elsewhere"),
+    "formats": ("csv,svg", ("csv", "svg")),
+    "slope.min": ("0.2", 0.2),
+    "slope.max": ("0.8", 0.8),
+}
+
+
+class _Captured(Exception):
+    pass
+
+
+def _swept_config(monkeypatch, *flags):
+    """The ExperimentConfig that ``sweep`` builds from ``flags``, captured before any solve."""
+    def capture(config):
+        raise _Captured(config)
+
+    monkeypatch.setattr(celldiv.harness, "convergence_study", capture)
+    with pytest.raises(_Captured) as caught:
+        main(["sweep", "--bspec", "constant:1.0", "--epsilons", "1e-3", *flags])
+    return caught.value.args[0]
+
+
+@pytest.mark.parametrize("key", list(_CONFIG_KEYS))
+def test_every_sweep_key_takes_effect_as_a_flag(monkeypatch, key):
+    field = _CONFIG_KEYS[key][0]
+    text, parsed = _SWEEP_KEY_VALUES[key]
+    monkeypatch.delenv("CELLDIV_OUT_DIR", raising=False)
+    assert getattr(_swept_config(monkeypatch), field) != parsed
+    assert getattr(_swept_config(monkeypatch, f"--{key}", text), field) == parsed
 
 
 def test_gre_subcommand(tmp_path):
