@@ -99,7 +99,7 @@ def _cmd_direct(args) -> int:
     _meta_path(out).write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
     for line in report.lines():
         print(line)
-    return 0
+    return 0 if report.passed else 2
 
 
 def _cmd_gre(args) -> int:
@@ -110,11 +110,8 @@ def _cmd_gre(args) -> int:
     base = solve_pair(rate, tol=args.tol)
     lines = ["direction,probe,lhs,rhs,gap,scale"]
     worst = 0.0
-    for i, d in enumerate(directions):
-        scaled = GridFunction(grid, args.amplitude * d.values)
-        pair = entropy.build_perturbation(rate, scaled, base, tol=args.tol)
-        if not pair.delta_n.values.any():  # every row would be a vacuous 0 / 0
-            raise ValueError("direction produced no profile shift; ratio undefined")
+    pairs = entropy.perturbations(rate, base, directions, args.amplitude, args.tol)
+    for i, pair in enumerate(pairs):
         for probe in probes:
             lhs, rhs, scale = entropy.gre_terms(pair, probe)
             rel = abs(lhs - rhs) / max(scale, 1e-300)

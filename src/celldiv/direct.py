@@ -254,8 +254,8 @@ def solve_direct(rate: RateBounds, tol: float = 1e-9) -> EigenPair:
     sign change, or if the profile changes sign (a non-Perron root). The
     adjoint slot of the returned pair is left empty.
     """
-    if not (tol > 0.0):
-        raise ValueError("tolerance must be positive")
+    if not 0.0 < tol < np.inf:
+        raise ValueError("tolerance must be positive and finite")
     grid = rate.grid
     B = rate.values
     h = grid.spacing

@@ -45,6 +45,7 @@ __all__ = [
     "gre_terms",
     "gap_study",
     "minimal_moment_exponent",
+    "perturbations",
     "random_bump_directions",
 ]
 
@@ -105,52 +106,67 @@ class ConvexProbe:
 
 @dataclass(frozen=True)
 class PerturbationPair:
-    """Eigen-elements of a base rate and a perturbed rate, with differences."""
+    """Eigen-elements of a base rate and a perturbed rate, with node-array differences."""
 
     base_rate: RateBounds
     base: EigenPair
     perturbed: EigenPair
     delta: float  # L2 size of the rate perturbation
-    delta_n: GridFunction
+    delta_n: np.ndarray
     delta_lambda: float
-    delta_r: GridFunction
+    delta_r: np.ndarray
 
 
 def build_perturbation(
     rate: RateBounds,
-    d_rate: GridFunction,
+    d_rate: np.ndarray,
     base: EigenPair,
     tol: float = 1e-10,
 ) -> PerturbationPair:
     """Solve the perturbed problem and assemble the difference data.
 
-    ``base`` holds the eigen-elements of ``rate``, solved once by the
-    caller and shared across repeated studies against that rate. Only
+    ``d_rate`` holds the rate perturbation at the nodes of ``rate``'s
+    grid. ``base`` holds the eigen-elements of ``rate``, solved once by
+    the caller and shared across repeated studies against that rate. Only
     :func:`gre_terms` reads its adjoint profile.
     """
     grid = rate.grid
-    if d_rate.grid != grid:
-        raise ValueError("perturbation sampled on a different grid")
-
-    perturbed_values = rate.values + d_rate.values
+    perturbed_values = rate.values + d_rate
     if perturbed_values.min() <= 0.0:
         raise ValueError("perturbed rate violates positivity")
     perturbed = solve_direct(RateBounds(GridFunction(grid, perturbed_values)), tol=tol)
 
     d_lambda = perturbed.lambda0 - base.lambda0
-    d_r_values = 4.0 * double_sample_values(d_rate.values * perturbed.N.values) - (
-        d_lambda + d_rate.values
-    ) * perturbed.N.values
+    Nbar = perturbed.N.values
+    d_r = 4.0 * double_sample_values(d_rate * Nbar) - (d_lambda + d_rate) * Nbar
 
     return PerturbationPair(
         base_rate=rate,
         base=base,
         perturbed=perturbed,
-        delta=norm(d_rate.values, grid),
-        delta_n=GridFunction(grid, perturbed.N.values - base.N.values),
+        delta=norm(d_rate, grid),
+        delta_n=Nbar - base.N.values,
         delta_lambda=d_lambda,
-        delta_r=GridFunction(grid, d_r_values),
+        delta_r=d_r,
     )
+
+
+def perturbations(rate: RateBounds, base: EigenPair, directions, amplitude: float, tol: float):
+    """Iterator over the pairs of ``rate`` and ``rate + amplitude d``, one per direction ``d``.
+
+    The amplitude is checked when this is called; each pair is solved
+    when it is reached. A pair whose profile did not move is rejected,
+    since every ratio or balance on it is 0 / 0.
+    """
+    if not 0.0 <= amplitude < np.inf:
+        raise ValueError("perturbation amplitude must be nonnegative and finite")
+    return (_shifted(build_perturbation(rate, amplitude * d, base, tol)) for d in directions)
+
+
+def _shifted(pair: PerturbationPair) -> PerturbationPair:
+    if norm(pair.delta_n, pair.base_rate.grid) == 0.0:
+        raise ValueError("direction produced no profile shift; ratio undefined")
+    return pair
 
 
 def gre_terms(pair: PerturbationPair, probe: ConvexProbe) -> tuple[float, float, float]:
@@ -174,23 +190,17 @@ def gre_terms(pair: PerturbationPair, probe: ConvexProbe) -> tuple[float, float,
     N = pair.base.N.values
     phi = pair.base.phi.values
     B = pair.base_rate.values
-    dN = pair.delta_n.values
-    dR = pair.delta_r.values
+    dR = pair.delta_r
 
-    floor = RATIO_FLOOR * float(N.max())
-    ok = N >= floor
+    ok = N >= RATIO_FLOOR * float(N.max())
     u = np.zeros_like(N)
-    u[ok] = dN[ok] / N[ok]
-
-    N2 = double_sample_values(N)
-    dN2 = double_sample_values(dN)
-    ok2 = N2 >= floor
-    u2 = np.zeros_like(N)
-    u2[ok2] = dN2[ok2] / N2[ok2]
+    u[ok] = pair.delta_n[ok] / N[ok]
+    u2 = double_sample_values(u)
+    # Nodes x at which N clears the floor at both x and 2x <= L.
+    active = ok & (double_sample_values(ok) > 0.0)
 
     coef = 4.0 * phi * double_sample_values(B * N)
-    coef[~ok2] = 0.0
-    coef[~ok] = 0.0
+    coef[~active] = 0.0
 
     slope = probe.slope(u)
     val = probe.value(u)
@@ -203,7 +213,6 @@ def gre_terms(pair: PerturbationPair, probe: ConvexProbe) -> tuple[float, float,
 
     xi = probe.slope_jump
     if xi is not None:
-        active = ok & ok2
         lhs_int_nodes = coef * bracket
         pr = np.where(ok, dR * phi, 0.0)
         for k in _threshold_cells(u, u2, xi, active):
@@ -298,7 +307,7 @@ class GapReport:
 
 def gap_study(
     rate: RateBounds,
-    directions: list[GridFunction],
+    directions: list[np.ndarray],
     amplitude: float,
     tol: float = 1e-9,
 ) -> GapReport:
@@ -314,31 +323,28 @@ def gap_study(
         raise ValueError("need at least one perturbation direction")
     grid = rate.grid
     base = solve_direct(rate, tol=tol)  # the gap never reads the adjoint
+    pairs = perturbations(rate, base, directions, amplitude, tol)  # checks the amplitude now
 
     b_max_family = rate.b_max
     for d in directions:
-        if norm(d.values, grid) == 0.0:
+        if norm(d, grid) == 0.0:
             raise ValueError("zero perturbation direction rejected")
-        b_max_family = max(b_max_family, float((rate.values + amplitude * d.values).max()))
+        b_max_family = max(b_max_family, float((rate.values + amplitude * d).max()))
     m = minimal_moment_exponent(base.lambda0, b_max_family)
 
     x_m = grid.nodes ** m
     samples: list[GapSample] = []
-    for d in directions:
-        scaled = GridFunction(grid, amplitude * d.values)
-        pair = build_perturbation(rate, scaled, base, tol=tol)
-        dn_norm = norm(pair.delta_n.values, grid)
-        weighted = norm(pair.delta_r.values * (1.0 + x_m), grid)
-        if dn_norm == 0.0:
-            raise ValueError("direction produced no profile shift; ratio undefined")
+    for pair in pairs:
+        dn_norm = norm(pair.delta_n, grid)
+        weighted = norm(pair.delta_r * (1.0 + x_m), grid)
         samples.append(
             GapSample(
                 delta=pair.delta,
                 delta_n_norm=dn_norm,
                 weighted_residual_norm=weighted,
                 ratio=weighted / dn_norm,
-                moment_lhs=trapezoid(x_m * pair.delta_n.values ** 2, grid),
-                moment_rhs=trapezoid(x_m * pair.delta_r.values ** 2, grid),
+                moment_lhs=trapezoid(x_m * pair.delta_n ** 2, grid),
+                moment_rhs=trapezoid(x_m * pair.delta_r ** 2, grid),
             )
         )
 
@@ -353,8 +359,8 @@ BUMP_CENTERS = (0.5, 6.0)
 BUMP_WIDTHS = (0.4, 1.6)
 
 
-def random_bump_directions(grid, count: int, seed: int) -> list[GridFunction]:
-    """Smooth compactly supported bump directions of either sign, unit peak height."""
+def random_bump_directions(grid, count: int, seed: int) -> list[np.ndarray]:
+    """Node arrays of smooth compactly supported bumps of either sign, unit peak height."""
     if count < 1:
         raise ValueError("need at least one perturbation direction")
     rng = np.random.default_rng(seed)
@@ -363,5 +369,5 @@ def random_bump_directions(grid, count: int, seed: int) -> list[GridFunction]:
         center = rng.uniform(*BUMP_CENTERS)
         width = rng.uniform(*BUMP_WIDTHS)
         sign = rng.choice([-1.0, 1.0])
-        out.append(GridFunction(grid, sign * bump_values(grid.nodes, center, width)))
+        out.append(sign * bump_values(grid.nodes, center, width))
     return out

@@ -70,15 +70,15 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         eps = tuple(float(e) for e in self.epsilons)
-        if any(e < 0 for e in eps):
-            raise ValueError("noise levels must be nonnegative")
+        if not all(0.0 <= e < np.inf for e in eps):
+            raise ValueError("noise levels must be nonnegative and finite")
         object.__setattr__(self, "epsilons", tuple(sorted(eps, reverse=True)))
         if self.seeds < 1:
             raise ValueError("need at least one seed")
         if self.alpha_rule not in ("sqrt", "fixed"):
             raise ValueError(f"unknown alpha rule {self.alpha_rule!r}")
-        if self.alpha_c <= 0.0:
-            raise ValueError("alpha constant must be positive")
+        if not 0.0 < self.alpha_c < np.inf:
+            raise ValueError("alpha constant must be positive and finite")
         _check_formats(self.formats)
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
@@ -137,21 +137,19 @@ def default_filters(truth: GridFunction) -> Filters:
 def add_noise(
     truth: GridFunction,
     epsilon: float,
-    seed: int | UnitNoise,
+    noise: UnitNoise,
+    filters: Filters,
     lambda0: float | None = None,
-    filters: Filters | None = None,
 ) -> NoisyObservation:
-    """Noisy observation of a known profile, clamped into its default envelopes.
+    """Noisy observation of a known profile, clamped into ``filters``.
 
-    The raw perturbation sits at exact L2 distance epsilon from the
-    truth; the recorded noise level is the post-clamp distance, which is
-    what any error analysis downstream should use. A study passes each
-    seed's :class:`UnitNoise` and the ``default_filters(truth)`` it
-    built once, so that a cell neither redraws nor rechecks them.
+    The raw perturbation is the ``noise`` draw at exact L2 distance
+    epsilon from the truth; the recorded noise level is the post-clamp
+    distance, which is what any error analysis downstream should use. A
+    study draws each seed's noise and builds ``default_filters(truth)``
+    once, so that a cell neither redraws nor rechecks them.
     """
-    raw = perturbed(truth, epsilon, seed)
-    if filters is None:
-        filters = default_filters(truth)
+    raw = perturbed(truth, epsilon, noise)
     return clamp_observation(raw, filters, truth=truth, lambda0=lambda0)
 
 
@@ -210,9 +208,9 @@ def convergence_study(cfg: ExperimentConfig) -> StudyReport:
     truth_rate = rate.rate
     h2 = sobolev_norm(pair.N.values, grid)
     # Built once per study: the filters, and each seed's noise draw, which
-    # every level rescales (a noise-free study draws none).
+    # every level rescales.
     filters = default_filters(pair.N)
-    draws = [unit_noise(grid, seed) for seed in range(cfg.seeds)] if cfg.epsilons[0] > 0.0 else []
+    draws = [unit_noise(grid, seed) for seed in range(cfg.seeds)]
 
     rows: list[StudyRow] = []
     try:
@@ -220,8 +218,7 @@ def convergence_study(cfg: ExperimentConfig) -> StudyReport:
             alpha = cfg.alpha_for(eps)
             for seed in range(cfg.seeds):
                 t0 = time.perf_counter()
-                noise = draws[seed] if draws else seed
-                obs = add_noise(pair.N, eps, noise, lambda0=pair.lambda0, filters=filters)
+                obs = add_noise(pair.N, eps, draws[seed], filters, lambda0=pair.lambda0)
                 solve = recover_rate(obs, alpha, cfg.scheme)
                 err_w = weighted_product_error(solve, truth_rate)
                 err_p = rate_error_on_support(solve, truth_rate)

@@ -288,8 +288,8 @@ def solve_regularized_general(
     ``N`` only enters the recovered-rate division; the marching itself is
     driven entirely by the source.
     """
-    if alpha <= 0.0:
-        raise ValueError("regularization parameter must be positive")
+    if not 0.0 < alpha < np.inf:
+        raise ValueError("regularization parameter must be positive and finite")
     if N.grid != F.grid:
         raise ValueError("source and observation grids differ")
     P = _march(F.values, alpha, F.grid.spacing)
@@ -320,8 +320,8 @@ def recover_rate(
     P over the observation wherever the observation exceeds its support
     floor.
     """
-    if alpha <= 0.0:
-        raise ValueError("regularization parameter must be positive")
+    if not 0.0 < alpha < np.inf:
+        raise ValueError("regularization parameter must be positive and finite")
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     data = obs.data

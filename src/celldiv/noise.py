@@ -33,14 +33,10 @@ def unit_noise(grid: Grid, seed: int) -> UnitNoise:
     return UnitNoise(z, z_norm)
 
 
-def perturbed(f: GridFunction, level: float, seed: int | UnitNoise) -> GridFunction:
-    """Return ``f`` plus white noise scaled to exact L2 distance ``level``.
-
-    ``seed`` is a seed or the :class:`UnitNoise` already drawn from one.
-    """
-    if level < 0:
-        raise ValueError("noise level must be nonnegative")
+def perturbed(f: GridFunction, level: float, noise: UnitNoise) -> GridFunction:
+    """Return ``f`` plus the ``noise`` draw scaled to exact L2 distance ``level``."""
+    if not 0.0 <= level < np.inf:
+        raise ValueError("noise level must be nonnegative and finite")
     if level == 0.0:
         return f
-    z, z_norm = seed if isinstance(seed, UnitNoise) else unit_noise(f.grid, seed)
-    return f.with_values(f.values + (level / z_norm) * z)
+    return f.with_values(f.values + (level / noise.z_norm) * noise.z)

@@ -77,7 +77,7 @@ class ToyProblem:
             raise ValueError("data must vanish at the left endpoint")
         if self.apriori is not None:
             observed = _curvature(self.data)
-            if observed > self.apriori * (1.0 + 1e-3) + 1e-9:
+            if not observed <= self.apriori * (1.0 + 1e-3) + 1e-9:
                 raise ValueError(
                     f"data curvature {observed:.6g} exceeds the declared bound {self.apriori:.6g}"
                 )
@@ -111,8 +111,8 @@ def toy_solve(problem: ToyProblem, alpha: float, data: GridFunction | None = Non
     only its difference quotients enter the scheme, so a constant offset
     or endpoint noise is harmless.
     """
-    if alpha <= 0.0:
-        raise ValueError("regularization parameter must be positive")
+    if not 0.0 < alpha < np.inf:
+        raise ValueError("regularization parameter must be positive and finite")
     v = (problem.data if data is None else data).values
     h = problem.data.grid.spacing
     # w_{j+1} = (alpha w_j + v_{j+1} - v_j) / (alpha + h),  w_0 = 0
@@ -175,22 +175,17 @@ def toy_study(problem: ToyProblem, seeds: int, epsilons) -> ToyStudyReport:
     grid = problem.data.grid
     h = grid.spacing
     levels = sorted(set(float(e) for e in epsilons), reverse=True)
-    if levels and levels[-1] < 0:
-        raise ValueError("noise levels must be nonnegative")
-    # Each seed's noise draw serves every level (a noise-free study draws none).
-    draws = [unit_noise(grid, seed) for seed in range(seeds)] if levels and levels[0] > 0.0 else []
+    if not all(0.0 <= e < np.inf for e in levels):
+        raise ValueError("noise levels must be nonnegative and finite")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NoiseFloorWarning)
+        alphas = [optimal_alpha(eps, bound) for eps in levels]
+    # Each seed's noise draw serves every level.
+    draws = [unit_noise(grid, seed) for seed in range(seeds)]
     rows: list[ToyStudyRow] = []
-    for eps in levels:
+    for eps, alpha in zip(levels, alphas):
         for seed in range(seeds):
-            if eps == 0.0:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", NoiseFloorWarning)
-                    alpha = optimal_alpha(eps, bound)
-                noisy = problem.data
-            else:
-                alpha = optimal_alpha(eps, bound)
-                noisy = perturbed(problem.data, eps, draws[seed])
-            solution = toy_solve(problem, alpha, data=noisy)
+            solution = toy_solve(problem, alpha, data=perturbed(problem.data, eps, draws[seed]))
             err = norm(solution.values - reference.values, grid, weight)
             predicted = 2.0 * float(np.sqrt(eps * bound))
             if eps == 0.0:

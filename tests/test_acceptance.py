@@ -31,6 +31,7 @@ from celldiv.inverse import (
     stability_report,
     weak_stability_check,
 )
+from celldiv.noise import unit_noise
 from celldiv.toy import ToyProblem, toy_solve, toy_study
 
 # Relative balance gaps below this level sit at the discrete solvability
@@ -102,7 +103,7 @@ def test_criterion_3_entropy_balance(grid12, unit_pair, unit_rate, fine_pair):
         ("fine", fine_grid, fine_rate, fine_base),
     ):
         for i, (center, width, amp) in enumerate(bumps):
-            d = GridFunction(grid, amp * bump_values(grid.nodes, center, width))
+            d = amp * bump_values(grid.nodes, center, width)
             pair = build_perturbation(rate, d, tol=1e-11, base=base)
             for probe in probes:
                 lhs, rhs, scale = gre_terms(pair, probe)
@@ -237,11 +238,12 @@ def test_criterion_8_weak_stability_ensemble():
     for n in (2048, 4096):
         grid = make_grid(12.0, n)
         series = constant_b_series(1.0, grid)
-        exact_obs = clamp_observation(series, default_filters(series), truth=series, lambda0=1.0)
+        filters = default_filters(series)
+        exact_obs = clamp_observation(series, filters, truth=series, lambda0=1.0)
         exact = recover_rate(exact_obs, alpha)
         ratios = []
         for seed in range(20):
-            obs = add_noise(series, eps, seed, lambda0=1.0)
+            obs = add_noise(series, eps, unit_noise(grid, seed), filters, lambda0=1.0)
             lhs, bound = weak_stability_check(exact, recover_rate(obs, alpha), alpha)
             ratios.append(lhs / bound)
         maxima[n] = max(ratios)

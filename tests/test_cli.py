@@ -51,6 +51,18 @@ def test_eigen_subcommands_reject_max_iters(tmp_path, capsys, which):
     assert "unrecognized arguments: --max-iters 5" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("which", ["direct", "adjoint"])
+def test_eigen_subcommands_exit_2_when_an_invariant_fails(tmp_path, capsys, which):
+    # a stop width of 1e3 h leaves lambda0 at the bracket end: f1, f1.upper and f2 fail
+    out = tmp_path / "profile.csv"
+    code = main([which, "--bspec", "constant:1.0", "--grid-n", "256", "--tol", "1e3",
+                 "--output", str(out)])
+    assert code == 2
+    assert read_csv(out).values.size == 257
+    assert json.loads(out.with_suffix(".meta.json").read_text())["invariants_passed"] is False
+    assert capsys.readouterr().out.count(": FAIL ") == 3
+
+
 def test_direct_tol_sets_root_iterations(tmp_path):
     iterations = {}
     for tol in ("1e-3", "1e-12"):
@@ -188,6 +200,42 @@ def test_invert_rejects_nonpositive_or_nonfinite_lambda0(tmp_path, lambda0):
     with pytest.raises(ValueError, match="lambda0 must be a finite positive"):
         main(["invert", "--data", str(data), "--lambda0", lambda0, "--alpha", "0.01", "--output", str(out)])
     assert not out.exists()
+
+
+_STUDY = ["--bspec", "constant:1.0", "--grid-n", "256", "--directions", "2"]
+_SWEEP = ["sweep", "--bspec", "constant:1.0", "--grid.n", "256", "--seeds", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(["direct", "--bspec", "constant:1.0", "--grid-n", "256", "--tol", "inf"],
+                     "tolerance must be positive", id="direct-tol-inf"),
+        *(pytest.param([*_SWEEP, "--epsilons", v], "noise levels must be nonnegative",
+                       id=f"sweep-epsilons-{v}") for v in ("nan", "inf")),
+        *(pytest.param([*_SWEEP, "--epsilons", "1e-3", "--alpha.c", v],
+                       "alpha constant must be positive", id=f"sweep-alpha.c-{v}")
+          for v in ("nan", "inf")),
+        *(pytest.param(["invert", "--data", "N.csv", "--alpha", v],
+                       "regularization parameter must be positive", id=f"invert-alpha-{v}")
+          for v in ("nan", "inf")),
+        pytest.param(["toy", "--grid-n", "256", "--epsilons", "nan"],
+                     "noise levels must be nonnegative", id="toy-epsilons-nan"),
+        pytest.param(["toy", "--grid-n", "256", "--E", "nan"],
+                     "exceeds the declared bound nan", id="toy-E-nan"),
+        *(pytest.param([which, *_STUDY, "--amplitude", v],
+                       "perturbation amplitude must be nonnegative", id=f"{which}-amplitude-{v}")
+          for which in ("gap", "gre") for v in ("nan", "inf")),
+    ],
+)
+def test_nonfinite_numbers_are_rejected_by_name(tmp_path, monkeypatch, argv, message):
+    # NaN passes every `x <= 0` test; each number is checked against 0 and inf by name
+    monkeypatch.chdir(tmp_path)
+    write_csv(constant_b_series(1.0, make_grid(12.0, 256)), tmp_path / "N.csv")
+    out = ["--out.dir", "sweep"] if argv[0] == "sweep" else ["--output", "out.csv"]
+    with pytest.raises(ValueError, match=message):
+        main([*argv, *out])
+    assert not (tmp_path / "out.csv").exists() and not (tmp_path / "sweep").exists()
 
 
 def test_invert_filter_files_replace_their_envelope(tmp_path):

@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
 
-from celldiv.direct import bump_values, constant_rate, solve_direct, solve_pair
+from celldiv.direct import bump_values, constant_rate, piecewise_rate, solve_direct, solve_pair
 from celldiv.entropy import (
+    RATIO_FLOOR,
     ConvexProbe,
     build_perturbation,
     gap_study,
     gre_terms,
     minimal_moment_exponent,
+    perturbations,
     random_bump_directions,
 )
-from celldiv.grid import GridFunction, make_grid, norm, trapezoid
+from celldiv.grid import double_sample_values, make_grid, norm, trapezoid
 
 
 @pytest.fixture(scope="module")
@@ -24,7 +26,7 @@ def small_base(small_grid):
 
 
 def _bump(grid, center, width, amplitude):
-    return GridFunction(grid, amplitude * bump_values(grid.nodes, center, width))
+    return amplitude * bump_values(grid.nodes, center, width)
 
 
 def test_probe_validation():
@@ -40,12 +42,12 @@ def test_probe_validation():
 
 def test_zero_perturbation_is_degenerate(small_grid, small_base):
     rate = constant_rate(small_grid, 1.0)
-    zero = GridFunction(small_grid, np.zeros(small_grid.intervals + 1))
+    zero = np.zeros(small_grid.intervals + 1)
     pair = build_perturbation(rate, zero, base=small_base)
     assert pair.delta == 0.0
     assert abs(pair.delta_lambda) <= 1e-9
-    assert norm(pair.delta_n.values, small_grid) <= 1e-8
-    assert norm(pair.delta_r.values, small_grid) <= 1e-8
+    assert norm(pair.delta_n, small_grid) <= 1e-8
+    assert norm(pair.delta_r, small_grid) <= 1e-8
     for probe in (ConvexProbe.square(), ConvexProbe.linear()):
         lhs, rhs, _ = gre_terms(pair, probe)
         assert abs(lhs) <= 1e-10 and abs(rhs) <= 1e-10
@@ -53,7 +55,7 @@ def test_zero_perturbation_is_degenerate(small_grid, small_base):
 
 def test_constant_shift_moves_growth_rate_only(small_grid, small_base):
     rate = constant_rate(small_grid, 1.0)
-    shift = GridFunction(small_grid, np.full(small_grid.intervals + 1, 0.1))
+    shift = np.full(small_grid.intervals + 1, 0.1)
     pair = build_perturbation(rate, shift, base=small_base)
     assert pair.delta_lambda == pytest.approx(0.1, abs=2e-5)
 
@@ -62,11 +64,11 @@ def test_perturbation_solvability(small_grid, small_base):
     rate = constant_rate(small_grid, 1.0)
     pair = build_perturbation(rate, _bump(small_grid, 2.0, 1.5, 0.08), base=small_base)
     # both conditions hold at the discretization level
-    mass = trapezoid(pair.delta_n.values, small_grid)
-    adjoint = trapezoid(small_base.phi.values * pair.delta_r.values, small_grid)
+    mass = trapezoid(pair.delta_n, small_grid)
+    adjoint = trapezoid(small_base.phi.values * pair.delta_r, small_grid)
     assert abs(mass) <= 1e-12
     assert abs(adjoint) <= 1e-6
-    scale = norm(pair.delta_r.values, small_grid)
+    scale = norm(pair.delta_r, small_grid)
     assert abs(adjoint) <= 1e-3 * scale
 
 
@@ -87,7 +89,7 @@ def test_eigenvalue_shift_bound(small_grid, small_base):
 
 def test_perturbation_rejects_inadmissible(small_grid, small_base):
     rate = constant_rate(small_grid, 1.0)
-    too_deep = GridFunction(small_grid, -1.5 * bump_values(small_grid.nodes, 2.0, 1.0))
+    too_deep = -1.5 * bump_values(small_grid.nodes, 2.0, 1.0)
     with pytest.raises(ValueError):
         build_perturbation(rate, too_deep, base=small_base)
 
@@ -106,6 +108,43 @@ def test_gre_balance_linear_probe_reduces_to_solvability(small_grid, small_base)
     lhs, rhs, scale = gre_terms(pair, ConvexProbe.linear())
     assert abs(lhs) <= 1e-13 * max(scale, 1.0)  # bracket cancels for slope-one probes
     assert abs(rhs) <= 1e-6 * max(scale, 1.0)
+
+
+def _gre_terms_from_doubled_samples(pair, probe):
+    """Reference for smooth probes: u(2x) formed from doubled samples of dN and N."""
+    grid = pair.base.N.grid
+    N, phi, B = pair.base.N.values, pair.base.phi.values, pair.base_rate.values
+    dN, dR = pair.delta_n, pair.delta_r
+    floor = RATIO_FLOOR * float(N.max())
+    ok = N >= floor
+    u = np.zeros_like(N)
+    u[ok] = dN[ok] / N[ok]
+    N2, dN2 = double_sample_values(N), double_sample_values(dN)
+    ok2 = N2 >= floor
+    u2 = np.zeros_like(N)
+    u2[ok2] = dN2[ok2] / N2[ok2]
+    coef = 4.0 * phi * double_sample_values(B * N)
+    coef[~ok2] = 0.0
+    coef[~ok] = 0.0
+    slope, val, val2 = probe.slope(u), probe.value(u), probe.value(u2)
+    pairing = np.where(ok, slope * dR * phi, 0.0)
+    lhs = trapezoid(coef * (slope * (u2 - u) + val - val2), grid)
+    scale = trapezoid(
+        coef * (np.abs(slope * u2) + np.abs(slope * u) + np.abs(val) + np.abs(val2)), grid
+    ) + trapezoid(np.abs(pairing), grid)
+    return float(lhs), float(-trapezoid(pairing, grid)), float(scale)
+
+
+def test_gre_terms_match_doubled_samples_bit_for_bit():
+    # the faster decay past x = 3 puts N(2x) below the ratio floor while N(x) clears it
+    grid = make_grid(12.0, 1024)
+    rate = piecewise_rate(grid, [0.0, 3.0], [1.0, 2.0])
+    pair = build_perturbation(rate, _bump(grid, 2.0, 1.5, 0.08), base=solve_pair(rate, tol=1e-11))
+    N = pair.base.N.values
+    floor = RATIO_FLOOR * N.max()
+    assert np.any((N >= floor) & (double_sample_values(N) < floor) & (np.arange(N.size) <= N.size // 2))
+    for probe in (ConvexProbe.square(), ConvexProbe.linear()):
+        assert gre_terms(pair, probe) == _gre_terms_from_doubled_samples(pair, probe)
 
 
 def test_gre_balance_square_probe_second_order():
@@ -148,7 +187,7 @@ def test_minimal_moment_exponent():
 
 def test_gap_study_rejects_zero_direction(small_grid):
     rate = constant_rate(small_grid, 1.0)
-    zero = GridFunction(small_grid, np.zeros(small_grid.intervals + 1))
+    zero = np.zeros(small_grid.intervals + 1)
     with pytest.raises(ValueError, match="zero"):
         gap_study(rate, [zero], 0.05)
 
@@ -166,8 +205,16 @@ def test_gap_study_small_family(small_grid):
     assert lhs <= constant * rhs + 1e-12
 
 
+@pytest.mark.parametrize("amplitude", [-0.05, np.nan, np.inf])
+def test_perturbations_check_the_amplitude_when_called(small_grid, small_base, amplitude):
+    # before any pair is built: gap_study reads the amplitude before its first pair
+    rate = constant_rate(small_grid, 1.0)
+    with pytest.raises(ValueError, match="perturbation amplitude must be nonnegative and finite"):
+        perturbations(rate, small_base, [], amplitude, 1e-9)
+
+
 def test_random_directions_deterministic(small_grid):
     a = random_bump_directions(small_grid, 3, seed=11)
     b = random_bump_directions(small_grid, 3, seed=11)
     for f, g in zip(a, b):
-        np.testing.assert_array_equal(f.values, g.values)
+        np.testing.assert_array_equal(f, g)

@@ -4,17 +4,19 @@ import numpy as np
 import pytest
 
 import celldiv.harness
-from celldiv.direct import check_invariants, solve_pair
-from celldiv.inverse import recover_rate
+from celldiv.direct import check_invariants, solve_direct, solve_pair
+from celldiv.inverse import clamp_observation, rate_error_on_support, recover_rate, weighted_product_error
 from celldiv.grid import GridFunction, make_grid, norm
 from celldiv.harness import (
     CSV_SCHEMA,
     ExperimentConfig,
     add_noise,
     convergence_study,
+    default_filters,
     emit_report,
     parse_rate_spec,
 )
+from celldiv.noise import perturbed, unit_noise
 from celldiv.toy import ToyProblem, toy_study
 
 
@@ -90,22 +92,26 @@ def test_synthesize_rejects_nonpositive_rate(tmp_path):
 
 
 def test_add_noise_identity_at_zero(grid12, unit_series):
-    obs = add_noise(unit_series, 0.0, seed=0)
+    obs = add_noise(unit_series, 0.0, unit_noise(grid12, 0), default_filters(unit_series))
     np.testing.assert_allclose(obs.data.values[1:], unit_series.values[1:])
 
 
 def test_add_noise_exact_preclamp_distance(grid12, unit_series):
-    from celldiv.noise import perturbed
-
     eps = 1e-3
-    raw = perturbed(unit_series, eps, seed=3)
+    raw = perturbed(unit_series, eps, unit_noise(grid12, 3))
     achieved = norm(raw.values - unit_series.values, raw.grid)
     assert achieved == pytest.approx(eps, rel=1e-12)
 
 
+@pytest.mark.parametrize("level", [-1e-3, np.nan, np.inf])
+def test_perturbed_rejects_negative_or_nonfinite_level(grid12, unit_series, level):
+    with pytest.raises(ValueError, match="noise level must be nonnegative and finite"):
+        perturbed(unit_series, level, unit_noise(grid12, 0))
+
+
 def test_add_noise_deterministic(grid12, unit_series):
-    a = add_noise(unit_series, 1e-3, seed=9)
-    b = add_noise(unit_series, 1e-3, seed=9)
+    a = add_noise(unit_series, 1e-3, unit_noise(grid12, 9), default_filters(unit_series))
+    b = add_noise(unit_series, 1e-3, unit_noise(grid12, 9), default_filters(unit_series))
     np.testing.assert_array_equal(a.data.values, b.data.values)
     assert a.epsilon == b.epsilon
     assert a.epsilon <= 1e-3 + 1e-15  # clamping can only bring the data closer
@@ -142,6 +148,20 @@ def test_convergence_study_fixed_alpha_plateau():
     assert floor > 0.0
     assert np.mean(errs[1e-5]) <= 1.5 * floor + 1e-12
     assert np.mean(errs[1e-6]) <= 1.2 * floor + 1e-12
+
+
+def test_convergence_study_noise_free_only():
+    # one deterministic row: the noise-free recovery, whatever the seed count
+    cfg = ExperimentConfig("constant:1.0", 12.0, 1024, (0.0,), seeds=3)
+    report = convergence_study(cfg)
+    assert [(r.epsilon, r.seed) for r in report.rows] == [(0.0, 0)]
+    assert report.slope is None
+    rate = parse_rate_spec(cfg.bspec, cfg.grid())
+    pair = solve_direct(rate)
+    obs = clamp_observation(pair.N, default_filters(pair.N), truth=pair.N, lambda0=pair.lambda0)
+    solve = recover_rate(obs, cfg.alpha_for(0.0), cfg.scheme)
+    assert report.rows[0].err_weighted == weighted_product_error(solve, rate.rate)
+    assert report.rows[0].err_plain == rate_error_on_support(solve, rate.rate)
 
 
 def test_convergence_study_insufficient_rows_no_slope():

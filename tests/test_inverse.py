@@ -17,7 +17,7 @@ from celldiv.inverse import (
     weak_stability_check,
     weighted_product_error,
 )
-from celldiv.noise import perturbed
+from celldiv.noise import perturbed, unit_noise
 
 
 @pytest.fixture(scope="module")
@@ -77,7 +77,7 @@ def test_estimate_lambda0(grid12, unit_series):
 
 
 def test_estimate_lambda0_noisy(grid12, unit_series):
-    obs = add_noise(unit_series, 1e-3, seed=5)
+    obs = add_noise(unit_series, 1e-3, unit_noise(grid12, 5), default_filters(unit_series))
     assert estimate_lambda0(obs) == pytest.approx(1.0, abs=0.05)
 
 
@@ -98,6 +98,9 @@ def test_general_solve_rejects_bad_alpha(grid12, unit_series):
     zero = GridFunction(grid12, np.zeros(grid12.intervals + 1))
     with pytest.raises(ValueError):
         solve_regularized_general(unit_series, zero, 0.0)
+    for alpha in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="regularization parameter must be positive and finite"):
+            solve_regularized_general(unit_series, zero, alpha)
 
 
 def test_general_solve_rejects_grid_mismatch(grid12, unit_series):
@@ -197,7 +200,7 @@ def test_weak_stability_identical_inputs(exact_obs):
 
 
 def test_weak_stability_bound_scaling(grid12, unit_series, exact_obs):
-    obs = add_noise(unit_series, 1e-3, seed=0, lambda0=1.0)
+    obs = add_noise(unit_series, 1e-3, unit_noise(grid12, 0), default_filters(unit_series), lambda0=1.0)
     data_gap = norm(obs.data.values - unit_series.values, grid12)
     for alpha in (0.02, 0.04):
         ex = recover_rate(exact_obs, alpha)
@@ -212,11 +215,12 @@ def test_weak_stability_bound_scaling(grid12, unit_series, exact_obs):
 def test_monotone_noise_response(grid12, unit_series):
     truth = _ones(grid12)
     alpha = 0.03
+    filters = default_filters(unit_series)
     means = []
     for eps in (1e-4, 1e-3, 1e-2):
         errs = []
         for seed in range(8):
-            obs = add_noise(unit_series, eps, seed, lambda0=1.0)
+            obs = add_noise(unit_series, eps, unit_noise(grid12, seed), filters, lambda0=1.0)
             solve = recover_rate(obs, alpha)
             errs.append(weighted_product_error(solve, truth))
         means.append(np.mean(errs))
@@ -237,9 +241,10 @@ def test_noisy_recovery_error_consistent_with_rate_theory(grid12, unit_series):
     truth = _ones(grid12)
     eps = 1e-3
     alpha = float(np.sqrt(eps))
+    filters = default_filters(unit_series)
     errs = []
     for seed in range(5):
-        obs = add_noise(unit_series, eps, seed, lambda0=1.0)
+        obs = add_noise(unit_series, eps, unit_noise(grid12, seed), filters, lambda0=1.0)
         errs.append(weighted_product_error(recover_rate(obs, alpha), truth))
     assert np.mean(errs) <= 10.0 * np.sqrt(eps)
 
@@ -264,7 +269,7 @@ def _march_loop(F, alpha, h):
 @pytest.mark.parametrize("n", [16, 17, 1024, 4096, 65536])
 def test_march_matches_per_node_loop(n):
     grid = make_grid(12.0, n)
-    data = perturbed(constant_b_series(1.0, grid), 1e-3, seed=0)
+    data = perturbed(constant_b_series(1.0, grid), 1e-3, unit_noise(grid, 0))
     half = half_sample_values(data.values)
     quarter = half_sample_values(half)
     fd_source = exact_product_source(data, 1.0)

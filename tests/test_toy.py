@@ -10,7 +10,7 @@ from celldiv.toy import (
     toy_solve,
     toy_study,
 )
-from celldiv.noise import perturbed
+from celldiv.noise import perturbed, unit_noise
 
 
 def _h2(f):
@@ -87,6 +87,9 @@ def test_solve_rejects_bad_alpha(square_problem):
         toy_solve(square_problem, 0.0)
     with pytest.raises(ValueError):
         toy_solve(square_problem, -0.1)
+    for alpha in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="regularization parameter must be positive and finite"):
+            toy_solve(square_problem, alpha)
 
 
 def test_solver_is_linear_in_data(square_problem, rng):
@@ -208,7 +211,7 @@ def test_toy_solve_matches_per_node_loop(n):
     x = grid.nodes
     p = ToyProblem(GridFunction(grid, 1.0 + x), GridFunction(grid, x ** 2))
     for alpha in (1e-8, 1e-4, 3e-3, 1e-2, 0.3, 10.0):
-        for data in (p.data, perturbed(p.data, 1e-3, seed=1)):
+        for data in (p.data, perturbed(p.data, 1e-3, unit_noise(grid, 1))):
             expected = _toy_loop(data.values, p.weight.values, alpha, grid.spacing)
             got = toy_solve(p, alpha, data=data).values
             assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected)), alpha
