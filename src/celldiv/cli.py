@@ -73,10 +73,6 @@ def _output(path: str) -> Path:
     return out
 
 
-def _meta_path(output: Path) -> Path:
-    return output.with_suffix(".meta.json")
-
-
 def _cmd_direct(args) -> int:
     grid = make_grid(args.grid_length, args.grid_n)
     rate = harness.parse_rate_spec(args.bspec, grid)
@@ -96,7 +92,7 @@ def _cmd_direct(args) -> int:
         "phi_growth": None if phi is None else float(np.max(phi.values / (1.0 + grid.nodes))),
         "invariants_passed": report.passed,
     }
-    _meta_path(out).write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
+    out.with_suffix(".meta.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
     for line in report.lines():
         print(line)
     return 0 if report.passed else 2
@@ -138,14 +134,15 @@ def _cmd_gap(args) -> int:
     return 0
 
 
+# ``gre --probe`` specs: the name before any ``:<xi>`` (kept with its colon) -> probe kind.
+_PROBES = {"square": "square", "linear": "linear", "pospart:": "positive-part"}
+
+
 def _parse_probe(spec: str) -> entropy.ConvexProbe:
-    if spec == "square":
-        return entropy.ConvexProbe.square()
-    if spec == "linear":
-        return entropy.ConvexProbe.linear()
-    if spec.startswith("pospart:"):
-        return entropy.ConvexProbe.positive_part(float(spec.split(":", 1)[1]))
-    raise SystemExit(f"unknown probe {spec!r} (square | linear | pospart:<xi>)")
+    name, colon, xi = spec.partition(":")
+    if name + colon not in _PROBES:
+        raise SystemExit(f"unknown probe {spec!r} (square | linear | pospart:<xi>)")
+    return entropy.ConvexProbe(_PROBES[name + colon], float(xi) if colon else 0.0)
 
 
 def _cmd_toy(args) -> int:

@@ -72,18 +72,6 @@ class ConvexProbe:
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown probe kind {self.kind!r}")
 
-    @classmethod
-    def square(cls) -> "ConvexProbe":
-        return cls("square")
-
-    @classmethod
-    def linear(cls) -> "ConvexProbe":
-        return cls("linear")
-
-    @classmethod
-    def positive_part(cls, xi: float) -> "ConvexProbe":
-        return cls("positive-part", float(xi))
-
     def value(self, u: np.ndarray) -> np.ndarray:
         if self.kind == "square":
             return u ** 2
@@ -154,12 +142,15 @@ def build_perturbation(
 def perturbations(rate: RateBounds, base: EigenPair, directions, amplitude: float, tol: float):
     """Iterator over the pairs of ``rate`` and ``rate + amplitude d``, one per direction ``d``.
 
-    The amplitude is checked when this is called; each pair is solved
-    when it is reached. A pair whose profile did not move is rejected,
-    since every ratio or balance on it is 0 / 0.
+    The amplitude and the directions are checked when this is called;
+    each pair is solved when it is reached. A zero direction, or a pair
+    whose profile did not move, is rejected, since every ratio or balance
+    on it is 0 / 0.
     """
     if not 0.0 <= amplitude < np.inf:
         raise ValueError("perturbation amplitude must be nonnegative and finite")
+    if any(norm(d, rate.grid) == 0.0 for d in directions):
+        raise ValueError("zero perturbation direction rejected")
     return (_shifted(build_perturbation(rate, amplitude * d, base, tol)) for d in directions)
 
 
@@ -323,14 +314,10 @@ def gap_study(
         raise ValueError("need at least one perturbation direction")
     grid = rate.grid
     base = solve_direct(rate, tol=tol)  # the gap never reads the adjoint
-    pairs = perturbations(rate, base, directions, amplitude, tol)  # checks the amplitude now
+    pairs = perturbations(rate, base, directions, amplitude, tol)  # checks its inputs now
 
-    b_max_family = rate.b_max
-    for d in directions:
-        if norm(d, grid) == 0.0:
-            raise ValueError("zero perturbation direction rejected")
-        b_max_family = max(b_max_family, float((rate.values + amplitude * d).max()))
-    m = minimal_moment_exponent(base.lambda0, b_max_family)
+    family_peaks = (float((rate.values + amplitude * d).max()) for d in directions)
+    m = minimal_moment_exponent(base.lambda0, max(rate.b_max, *family_peaks))
 
     x_m = grid.nodes ** m
     samples: list[GapSample] = []

@@ -20,7 +20,7 @@ import numpy as np
 from .direct import RateBounds, check_invariants, constant_rate, piecewise_rate, solve_direct
 from .direct import solve_pair  # noqa: F401 (perfbench test_tracer_wraps_every_lookup_and_reports_absent_names)
 from .fitting import fit_loglog_slope
-from .grid import Grid, GridFunction, make_grid, read_csv, sobolev_norm
+from .grid import Grid, GridFunction, read_csv, sobolev_norm
 from .inverse import (
     SCHEMES,
     Filters,
@@ -89,9 +89,6 @@ class ExperimentConfig:
         if epsilon <= 0.0:
             return self.alpha_c * 1e-6  # noise-free: small but positive
         return self.alpha_c * float(np.sqrt(epsilon))
-
-    def grid(self) -> Grid:
-        return make_grid(self.grid_length, self.grid_n)
 
 
 def parse_rate_spec(spec: str, grid: Grid) -> RateBounds:
@@ -201,7 +198,7 @@ def convergence_study(cfg: ExperimentConfig) -> StudyReport:
     fails mid-sweep, the rows computed so far are persisted to the
     configured output directory before the error propagates.
     """
-    grid = cfg.grid()
+    grid = Grid(cfg.grid_length, cfg.grid_n)
     rate = parse_rate_spec(cfg.bspec, grid)
     pair = solve_direct(rate)  # the sweep never reads the adjoint
     report = check_invariants(pair, rate)

@@ -128,8 +128,8 @@ def optimal_alpha(epsilon: float, bound: float) -> float:
     smallest supported positive value is returned and flagged through
     :class:`NoiseFloorWarning`.
     """
-    if bound <= 0.0:
-        raise ValueError("a-priori bound must be positive")
+    if not 0.0 < bound < np.inf:
+        raise ValueError("a-priori bound must be positive and finite")
     if epsilon < 0.0:
         raise ValueError("noise level must be nonnegative")
     if epsilon == 0.0:

@@ -93,7 +93,7 @@ def test_criterion_2_eigen_invariant_suite(grid12):
 
 def test_criterion_3_entropy_balance(grid12, unit_pair, unit_rate, fine_pair):
     bumps = [(1.5, 2.0, 0.10), (1.0, 1.5, 0.10), (2.0, 2.0, 0.15)]
-    probes = [ConvexProbe.square(), ConvexProbe.linear(), ConvexProbe.positive_part(0.1)]
+    probes = [ConvexProbe("square"), ConvexProbe("linear"), ConvexProbe("positive-part", 0.1)]
     fine_grid, fine_base = fine_pair
     fine_rate = constant_rate(fine_grid, 1.0)
 

@@ -6,8 +6,9 @@ import pytest
 
 import celldiv.direct
 import celldiv.harness
-from celldiv.cli import _CONFIG_KEYS, _rate_table, main
+from celldiv.cli import _CONFIG_KEYS, _parse_probe, _rate_table, main
 from celldiv.direct import bump_rate, constant_b_series
+from celldiv.entropy import ConvexProbe
 from celldiv.grid import GridFunction, make_grid, read_csv, write_csv
 
 
@@ -223,6 +224,8 @@ _SWEEP = ["sweep", "--bspec", "constant:1.0", "--grid.n", "256", "--seeds", "1"]
                      "noise levels must be nonnegative", id="toy-epsilons-nan"),
         pytest.param(["toy", "--grid-n", "256", "--E", "nan"],
                      "exceeds the declared bound nan", id="toy-E-nan"),
+        pytest.param(["toy", "--grid-n", "256", "--E", "inf"],
+                     "a-priori bound must be positive and finite", id="toy-E-inf"),
         *(pytest.param([which, *_STUDY, "--amplitude", v],
                        "perturbation amplitude must be nonnegative", id=f"{which}-amplitude-{v}")
           for which in ("gap", "gre") for v in ("nan", "inf")),
@@ -506,6 +509,15 @@ def test_studies_reject_zero_amplitude(tmp_path, which):
         main([which, "--bspec", "constant:1.0", "--grid-n", "256", "--directions", "2",
               "--amplitude", "0", "--output", str(out)])
     assert not out.exists()
+
+
+def test_probe_specs_map_to_probe_kinds():
+    specs = {"square": ConvexProbe("square"), "linear": ConvexProbe("linear"),
+             "pospart:0.05": ConvexProbe("positive-part", 0.05)}
+    assert {spec: _parse_probe(spec) for spec in specs} == specs
+    for spec in ("cubic", "pospart", "square:1"):
+        with pytest.raises(SystemExit, match=re.escape(f"unknown probe {spec!r} (square | linear | pospart:<xi>)")):
+            _parse_probe(spec)
 
 
 def test_gap_rejects_probe(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import celldiv.entropy
 from celldiv.direct import bump_values, constant_rate, piecewise_rate, solve_direct, solve_pair
 from celldiv.entropy import (
     RATIO_FLOOR,
@@ -32,11 +33,11 @@ def _bump(grid, center, width, amplitude):
 def test_probe_validation():
     with pytest.raises(ValueError):
         ConvexProbe("cubic")
-    probe = ConvexProbe.positive_part(0.1)
+    probe = ConvexProbe("positive-part", 0.1)
     u = np.array([-0.5, 0.1, 0.3])
     np.testing.assert_allclose(probe.value(u), [0.0, 0.0, 0.2])
     np.testing.assert_allclose(probe.slope(u), [0.0, 0.0, 1.0])
-    assert ConvexProbe.square().slope_jump is None
+    assert ConvexProbe("square").slope_jump is None
     assert probe.slope_jump == 0.1
 
 
@@ -48,7 +49,7 @@ def test_zero_perturbation_is_degenerate(small_grid, small_base):
     assert abs(pair.delta_lambda) <= 1e-9
     assert norm(pair.delta_n, small_grid) <= 1e-8
     assert norm(pair.delta_r, small_grid) <= 1e-8
-    for probe in (ConvexProbe.square(), ConvexProbe.linear()):
+    for probe in (ConvexProbe("square"), ConvexProbe("linear")):
         lhs, rhs, _ = gre_terms(pair, probe)
         assert abs(lhs) <= 1e-10 and abs(rhs) <= 1e-10
 
@@ -99,13 +100,13 @@ def test_gre_terms_rejects_base_without_adjoint(small_grid):
     base = solve_direct(rate, tol=1e-11)
     pair = build_perturbation(rate, _bump(small_grid, 2.0, 1.5, 0.08), base)
     with pytest.raises(ValueError, match="adjoint profile"):
-        gre_terms(pair, ConvexProbe.square())
+        gre_terms(pair, ConvexProbe("square"))
 
 
 def test_gre_balance_linear_probe_reduces_to_solvability(small_grid, small_base):
     rate = constant_rate(small_grid, 1.0)
     pair = build_perturbation(rate, _bump(small_grid, 1.5, 1.5, 0.08), base=small_base)
-    lhs, rhs, scale = gre_terms(pair, ConvexProbe.linear())
+    lhs, rhs, scale = gre_terms(pair, ConvexProbe("linear"))
     assert abs(lhs) <= 1e-13 * max(scale, 1.0)  # bracket cancels for slope-one probes
     assert abs(rhs) <= 1e-6 * max(scale, 1.0)
 
@@ -143,7 +144,7 @@ def test_gre_terms_match_doubled_samples_bit_for_bit():
     N = pair.base.N.values
     floor = RATIO_FLOOR * N.max()
     assert np.any((N >= floor) & (double_sample_values(N) < floor) & (np.arange(N.size) <= N.size // 2))
-    for probe in (ConvexProbe.square(), ConvexProbe.linear()):
+    for probe in (ConvexProbe("square"), ConvexProbe("linear")):
         assert gre_terms(pair, probe) == _gre_terms_from_doubled_samples(pair, probe)
 
 
@@ -154,7 +155,7 @@ def test_gre_balance_square_probe_second_order():
         rate = constant_rate(grid, 1.0)
         base = solve_pair(rate, tol=1e-11)
         pair = build_perturbation(rate, _bump(grid, 1.5, 2.0, 0.1), base=base)
-        lhs, rhs, scale = gre_terms(pair, ConvexProbe.square())
+        lhs, rhs, scale = gre_terms(pair, ConvexProbe("square"))
         gaps.append(abs(lhs - rhs) / scale)
     assert gaps[0] <= 1e-3
     assert gaps[0] / gaps[1] >= 3.0  # near fourfold for a second-order balance
@@ -164,7 +165,7 @@ def test_gre_dissipation_sign(small_grid, small_base):
     # the bracket side is nonpositive for convex probes
     rate = constant_rate(small_grid, 1.0)
     pair = build_perturbation(rate, _bump(small_grid, 1.5, 2.0, 0.1), base=small_base)
-    for probe in (ConvexProbe.square(), ConvexProbe.positive_part(0.1)):
+    for probe in (ConvexProbe("square"), ConvexProbe("positive-part", 0.1)):
         lhs, rhs, _ = gre_terms(pair, probe)
         assert lhs <= 1e-12
         assert lhs == pytest.approx(rhs, abs=1e-3 * max(abs(lhs), 1e-6))
@@ -174,7 +175,7 @@ def test_gre_positive_part_crossing_cells_handled(small_grid, small_base):
     # perturbation large enough that the ratio crosses the threshold
     rate = constant_rate(small_grid, 1.0)
     pair = build_perturbation(rate, _bump(small_grid, 1.0, 1.5, 0.1), base=small_base)
-    lhs, rhs, scale = gre_terms(pair, ConvexProbe.positive_part(0.1))
+    lhs, rhs, scale = gre_terms(pair, ConvexProbe("positive-part", 0.1))
     assert lhs < 0.0  # crossings exist, identity is nontrivial
     assert abs(lhs - rhs) <= 1e-3 * scale
 
@@ -211,6 +212,17 @@ def test_perturbations_check_the_amplitude_when_called(small_grid, small_base, a
     rate = constant_rate(small_grid, 1.0)
     with pytest.raises(ValueError, match="perturbation amplitude must be nonnegative and finite"):
         perturbations(rate, small_base, [], amplitude, 1e-9)
+
+
+def test_perturbations_reject_a_zero_direction_when_called(small_grid, small_base, monkeypatch):
+    # gap and gre both refuse it before any perturbed solve, with one message
+    solves = []
+    monkeypatch.setattr(celldiv.entropy, "solve_direct", lambda *args, **kw: solves.append(args))
+    rate = constant_rate(small_grid, 1.0)
+    directions = [_bump(small_grid, 3.0, 1.0, 1.0), np.zeros(small_grid.intervals + 1)]
+    with pytest.raises(ValueError, match="zero perturbation direction rejected"):
+        perturbations(rate, small_base, directions, 0.05, 1e-9)
+    assert solves == []
 
 
 def test_random_directions_deterministic(small_grid):

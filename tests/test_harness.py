@@ -6,7 +6,7 @@ import pytest
 import celldiv.harness
 from celldiv.direct import check_invariants, solve_direct, solve_pair
 from celldiv.inverse import clamp_observation, rate_error_on_support, recover_rate, weighted_product_error
-from celldiv.grid import GridFunction, make_grid, norm
+from celldiv.grid import Grid, GridFunction, make_grid, norm
 from celldiv.harness import (
     CSV_SCHEMA,
     ExperimentConfig,
@@ -156,7 +156,7 @@ def test_convergence_study_noise_free_only():
     report = convergence_study(cfg)
     assert [(r.epsilon, r.seed) for r in report.rows] == [(0.0, 0)]
     assert report.slope is None
-    rate = parse_rate_spec(cfg.bspec, cfg.grid())
+    rate = parse_rate_spec(cfg.bspec, Grid(cfg.grid_length, cfg.grid_n))
     pair = solve_direct(rate)
     obs = clamp_observation(pair.N, default_filters(pair.N), truth=pair.N, lambda0=pair.lambda0)
     solve = recover_rate(obs, cfg.alpha_for(0.0), cfg.scheme)

@@ -158,6 +158,8 @@ def test_optimal_alpha_values():
     assert 2.0 * np.sqrt(4.0 * 1.0) == pytest.approx(4.0)  # predicted bound at that point
     with pytest.raises(ValueError):
         optimal_alpha(1e-4, 0.0)
+    with pytest.raises(ValueError, match="a-priori bound must be positive and finite"):
+        optimal_alpha(1e-4, np.inf)  # alpha = sqrt(eps / inf) would be 0
     with pytest.raises(ValueError):
         optimal_alpha(-1.0, 1.0)
 
