@@ -25,7 +25,7 @@ import numpy as np
 
 from . import entropy, harness, inverse, toy
 from .direct import adjoint_residual, check_invariants, direct_residual, solve_direct, solve_pair
-from .grid import GridFunction, make_grid, read_csv, write_csv
+from .grid import Grid, GridFunction, read_csv, write_csv
 
 OUT_DIR_ENV = "CELLDIV_OUT_DIR"
 
@@ -74,7 +74,7 @@ def _output(path: str) -> Path:
 
 
 def _cmd_direct(args) -> int:
-    grid = make_grid(args.grid_length, args.grid_n)
+    grid = Grid(args.grid_length, args.grid_n)
     rate = harness.parse_rate_spec(args.bspec, grid)
     solve = solve_pair if args.which == "adjoint" else solve_direct
     pair = solve(rate, tol=args.tol)
@@ -99,7 +99,7 @@ def _cmd_direct(args) -> int:
 
 
 def _cmd_gre(args) -> int:
-    grid = make_grid(args.grid_length, args.grid_n)
+    grid = Grid(args.grid_length, args.grid_n)
     rate = harness.parse_rate_spec(args.bspec, grid)
     directions = entropy.random_bump_directions(grid, args.directions, args.seed)
     probes = [_parse_probe(p) for p in args.probe.split(",")]
@@ -120,7 +120,7 @@ def _cmd_gre(args) -> int:
 
 
 def _cmd_gap(args) -> int:
-    grid = make_grid(args.grid_length, args.grid_n)
+    grid = Grid(args.grid_length, args.grid_n)
     rate = harness.parse_rate_spec(args.bspec, grid)
     directions = entropy.random_bump_directions(grid, args.directions, args.seed)
     report = entropy.gap_study(rate, directions, args.amplitude, tol=args.tol)
@@ -147,7 +147,7 @@ def _parse_probe(spec: str) -> entropy.ConvexProbe:
 
 def _cmd_toy(args) -> int:
     if args.v == "x2":
-        grid = make_grid(
+        grid = Grid(
             1.0 if args.grid_length is None else args.grid_length,
             4096 if args.grid_n is None else args.grid_n,
         )

@@ -26,6 +26,8 @@ serves as an independent oracle for everything else in this module.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -155,7 +157,7 @@ class EigenPair:
 
 # Floor of Brent's stop width, times h: 1 + h/2 (B + lam) keeps lam only to
 # about 2 eps / h, below which the shooting residual is a staircase in lam.
-_ROOT_FLOOR = 4 * np.finfo(float).eps
+_ROOT_FLOOR = 4 * sys.float_info.epsilon
 # The discrete growth rate may leave the continuous bounds [b_min, b_max]
 # by the discretization error; the bracket is widened by this fraction.
 _BRACKET_WIDENING = 1e-2
@@ -169,7 +171,7 @@ _MAX_SWEEPS = 200
 # Floor of the adjoint stop threshold. Once converged, the sweep-to-sweep
 # change of the pairing-normalized iterate is round-off: up to about
 # 20 eps at n = 4096 and 230 eps at n = 65536 on the bump rate.
-_ADJOINT_FLOOR = 256 * np.finfo(float).eps
+_ADJOINT_FLOOR = 256 * sys.float_info.epsilon
 
 
 def _shoot(B: np.ndarray, h: float, lam: float) -> tuple[float, np.ndarray, np.ndarray, float]:
@@ -304,7 +306,7 @@ def _brent(f, a, b, xtol: float):
     most ``xtol`` (plus a few ulps of the root) wide, or once the residual
     vanishes exactly.
     """
-    eps = np.finfo(float).eps
+    eps = sys.float_info.epsilon
     c = a
     d = e = b[0] - a[0]
     while True:
@@ -332,7 +334,7 @@ def _brent(f, a, b, xtol: float):
         else:
             d = e = xm
         a = b
-        b = f(b[0] + (d if abs(d) > tol1 else np.copysign(tol1, xm)))
+        b = f(b[0] + (d if abs(d) > tol1 else math.copysign(tol1, xm)))
         if (b[1] > 0.0) == (c[1] > 0.0):
             c = a
             d = e = b[0] - a[0]

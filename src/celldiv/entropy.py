@@ -210,7 +210,7 @@ def gre_terms(pair: PerturbationPair, probe: ConvexProbe) -> tuple[float, float,
             plain_lhs = 0.5 * h * (lhs_int_nodes[k] + lhs_int_nodes[k + 1])
             plain_rhs = 0.5 * h * (pairing[k] + pairing[k + 1])
             split_lhs, split_rhs = _split_cell(
-                probe, xi, h,
+                xi, h,
                 (u[k], u[k + 1]), (u2[k], u2[k + 1]),
                 (coef[k], coef[k + 1]), (pr[k], pr[k + 1]),
             )
@@ -232,7 +232,7 @@ def _threshold_cells(u: np.ndarray, u2: np.ndarray, xi: float, active: np.ndarra
     return np.nonzero(crossing & active[:-1] & active[1:])[0]
 
 
-def _split_cell(probe, xi, h, u_ends, u2_ends, coef_ends, pr_ends):
+def _split_cell(xi, h, u_ends, u2_ends, coef_ends, pr_ends):
     """Integrate one threshold-crossing cell with the fields kept linear.
 
     The cell is split at the crossing points of u and u2 through the

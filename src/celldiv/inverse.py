@@ -342,21 +342,18 @@ def recover_rate(
     return _with_rate(P, data, alpha, scheme, lam)
 
 
-def weak_stability_check(
-    exact_solve: RegularizedSolve,
-    noisy_solve: RegularizedSolve,
-    alpha: float,
-) -> tuple[float, float]:
+def weak_stability_check(exact_solve: RegularizedSolve, noisy_solve: RegularizedSolve) -> tuple[float, float]:
     """Squared product gap between two solves against its noise bound.
 
-    Returns (int |P_noisy - P_exact|^2, |data gap|^2 / alpha^2); the ratio
-    of the two is the empirical stability constant.
+    Returns (int |P_noisy - P_exact|^2, |data gap|^2 / alpha^2), alpha being
+    the regularization parameter both solves share; the ratio of the two is
+    the empirical stability constant.
     """
     if exact_solve.grid != noisy_solve.grid:
         raise ValueError("solves live on different grids")
-    if not (exact_solve.alpha == noisy_solve.alpha == alpha):
+    if exact_solve.alpha != noisy_solve.alpha:
         raise ValueError("solves were run at different regularization parameters")
-    grid = exact_solve.grid
+    grid, alpha = exact_solve.grid, exact_solve.alpha
     gap = noisy_solve.P.values - exact_solve.P.values
     data_gap = noisy_solve.data.values - exact_solve.data.values
     lhs = trapezoid(gap ** 2, grid)

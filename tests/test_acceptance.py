@@ -244,7 +244,7 @@ def test_criterion_8_weak_stability_ensemble():
         ratios = []
         for seed in range(20):
             obs = add_noise(series, eps, unit_noise(grid, seed), filters, lambda0=1.0)
-            lhs, bound = weak_stability_check(exact, recover_rate(obs, alpha), alpha)
+            lhs, bound = weak_stability_check(exact, recover_rate(obs, alpha))
             ratios.append(lhs / bound)
         maxima[n] = max(ratios)
         assert np.isfinite(maxima[n])

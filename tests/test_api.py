@@ -8,9 +8,12 @@ import celldiv
 MODULES = sorted(m.name for m in pkgutil.iter_modules(celldiv.__path__))
 
 
-def test_package_exports_resolve():
-    missing = [name for name in celldiv.__all__ if not hasattr(celldiv, name)]
-    assert not missing
+def test_package_namespace_holds_only_its_submodules():
+    # Public names are imported from their module, never from the package.
+    for module in MODULES:
+        importlib.import_module(f"celldiv.{module}")
+    public = sorted(name for name in vars(celldiv) if not name.startswith("_"))
+    assert public == MODULES
 
 
 @pytest.mark.parametrize("module", MODULES)

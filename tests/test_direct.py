@@ -618,3 +618,31 @@ def test_direct_solve_takes_at_most_8_marches_at_fine_grids(name, n):
     # Brent must not step across the round-off plateaus of the residual
     pair = solve_direct(ACCEPTANCE_RATES[name](make_grid(12.0, n)))
     assert pair.iterations <= 8
+
+
+def test_random_piecewise_rates_solve_or_fail_by_name():
+    # Seeded fuzz of the solve's contract: a Perron pair inside the widened
+    # rate bounds, or one of the two named failures. Seed 7 gives 139
+    # solves, 46 brackets without a sign change and 15 coarse grids.
+    rng = np.random.default_rng(7)
+    solved = 0
+    for _ in range(200):
+        pieces = int(rng.integers(1, 5))
+        values = 10.0 ** rng.uniform(-2.0, 1.5, pieces)
+        length = float(rng.choice([6.0, 12.0, 24.0]))
+        n = int(rng.choice([256, 1024]))
+        breaks = np.concatenate([[0.0], np.sort(rng.uniform(0.0, length, pieces - 1))])
+        rate = piecewise_rate(make_grid(length, n), breaks, values)
+        try:
+            pair = solve_direct(rate)
+        except RuntimeError as err:
+            assert str(err).startswith("shooting residual has no sign change"), err
+        except ValueError as err:
+            assert str(err).startswith("grid too coarse"), err
+        else:
+            assert np.isfinite(pair.lambda0)
+            assert 0.99 * rate.b_min <= pair.lambda0 <= 1.01 * rate.b_max
+            assert pair.N.values.min() >= 0.0
+            assert trapezoid(pair.N.values, rate.grid) == pytest.approx(1.0, abs=1e-12)
+            solved += 1
+    assert solved >= 100

@@ -225,6 +225,18 @@ def test_perturbations_reject_a_zero_direction_when_called(small_grid, small_bas
     assert solves == []
 
 
+def test_perturbed_growth_rates_are_python_floats():
+    # The directions of `celldiv gap --bspec constant:1.0 --grid-n 4096
+    # --directions 8 --amplitude 0.05 --seed 3`: in five of them Brent's
+    # last step is its minimum step, which must not make lambda0 a numpy scalar.
+    grid = make_grid(12.0, 4096)
+    rate = constant_rate(grid, 1.0)
+    base = solve_direct(rate)
+    directions = random_bump_directions(grid, 8, 3)
+    for pair in perturbations(rate, base, directions, 0.05, 1e-9):
+        assert type(pair.perturbed.lambda0) is float
+
+
 def test_random_directions_deterministic(small_grid):
     a = random_bump_directions(small_grid, 3, seed=11)
     b = random_bump_directions(small_grid, 3, seed=11)

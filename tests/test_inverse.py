@@ -194,7 +194,7 @@ def test_weak_stability_identical_inputs(exact_obs):
     alpha = 0.05
     a = recover_rate(exact_obs, alpha)
     b = recover_rate(exact_obs, alpha)
-    lhs, bound = weak_stability_check(a, b, alpha)
+    lhs, bound = weak_stability_check(a, b)
     assert lhs == 0.0
     assert bound == 0.0
 
@@ -205,11 +205,11 @@ def test_weak_stability_bound_scaling(grid12, unit_series, exact_obs):
     for alpha in (0.02, 0.04):
         ex = recover_rate(exact_obs, alpha)
         nz = recover_rate(obs, alpha)
-        lhs, bound = weak_stability_check(ex, nz, alpha)
+        lhs, bound = weak_stability_check(ex, nz)
         assert bound == pytest.approx(data_gap ** 2 / alpha ** 2)
         assert lhs <= 10.0 * bound  # empirical constant stays moderate
     with pytest.raises(ValueError, match="parameters"):
-        weak_stability_check(recover_rate(exact_obs, 0.02), nz, 0.04)
+        weak_stability_check(recover_rate(exact_obs, 0.02), nz)
 
 
 def test_monotone_noise_response(grid12, unit_series):
