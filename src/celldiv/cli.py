@@ -201,7 +201,7 @@ def _cmd_invert(args) -> int:
     solve = inverse.recover_rate(obs, args.alpha, _SCHEMES[args.scheme])
     out = _output(args.output)
     out.write_text(_rate_table(data.grid.nodes, solve.rate, solve.defined))
-    rep = inverse.stability_report(solve, inverse.exact_product_source(solve.data, solve.lambda0))
+    rep = inverse.stability_report(solve)
     diag = {
         "alpha": solve.alpha,
         "scheme": solve.scheme,

@@ -164,6 +164,9 @@ _BRACKET_WIDENING = 1e-2
 # Clipping budget for the converged profile: the roots of the shooting
 # residual other than the Perron one change sign on (0, L].
 _SIGN_TOLERANCE = 1e-10
+# Interior points of the walk down from lam_hi that looks for a sign change
+# when both ends of the bracket have one sign.
+_BRACKET_WALK = 32
 # Caps on the root search's marches and on the adjoint's sweeps. The
 # acceptance rates take at most 8 marches and 37 sweeps up to n = 65536.
 _MAX_MARCHES = 200
@@ -251,8 +254,10 @@ def solve_direct(rate: RateBounds, tol: float = 1e-9) -> EigenPair:
     where the march cannot resolve that, ``4 eps / h``; each march forms
     only the residual and the pieces of its profile. ``N`` is formed once,
     from the march at the root, and normalized to unit mass. The bracket
-    is the rate bounds, widened slightly. ``iterations`` counts marches.
-    Raises if ``_MAX_MARCHES`` marches do not suffice, if the bracket holds no
+    is the rate bounds, widened slightly; when both of its ends have one
+    sign, it is the first sign-changing step of a ``_BRACKET_WALK``-point
+    walk down from its top. ``iterations`` counts marches.
+    Raises if ``_MAX_MARCHES`` marches do not suffice, if neither holds a
     sign change, or if the profile changes sign (a non-Perron root). The
     adjoint slot of the returned pair is left empty.
     """
@@ -280,6 +285,16 @@ def solve_direct(rate: RateBounds, tol: float = 1e-9) -> EigenPair:
         return lam, float(res), pieces
 
     lo, hi = residual(lam_lo), residual(lam_hi)
+    if lo[1] * hi[1] > 0.0:
+        # The bracket holds no root or two; the Perron root is the largest,
+        # so Brent runs on the first sub-bracket below lam_hi that changes sign.
+        above = hi
+        for lam in np.linspace(lam_hi, lam_lo, _BRACKET_WALK + 2)[1:-1].tolist():
+            below = residual(lam)
+            if below[1] * above[1] <= 0.0:
+                lo, hi = below, above
+                break
+            above = below
     if lo[1] * hi[1] > 0.0:
         raise RuntimeError(
             f"shooting residual has no sign change on [{lam_lo:.6g}, {lam_hi:.6g}]: "

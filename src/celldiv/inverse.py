@@ -14,16 +14,17 @@ with F carrying the data terms. Implicit marching solves it in one sweep:
 the half-argument reads only touch already-computed entries, so the
 delay structure costs nothing.
 
-Two ways to assemble the data terms are provided. ``direct-fd``
-differentiates the (half-sampled) observation with the grid stencil.
-``derivative-free`` substitutes S(y) = P(y) - (2/alpha) N(y/2), which
-absorbs the data derivative into the unknown; the observation is then
-never differentiated, only sampled at half and quarter arguments. On
-noise-free data the two agree to first order in the mesh width.
+Both schemes march this one equation on F = lambda0 N(y/2) + 2 D[N(y/2)]
+and differ only in the difference quotient D of the half-sampled
+observation: ``direct-fd`` takes the grid's centred derivative (second
+order), ``derivative-free`` the backward quotient (first order). The
+latter is the march of the shifted unknown S(y) = P(y) - (2/alpha) N(y/2)
+written for P, so both schemes differentiate the data.
 
 Energy estimates for the marching problem (sup alpha P^2, mass and
 gradient bounds against the source) and their empirical constants are
-computed on request by :func:`stability_report`, not with every solve.
+computed on request by :func:`stability_report` against the source the
+solve marched, not with every solve.
 """
 
 from __future__ import annotations
@@ -55,12 +56,24 @@ __all__ = [
     "stability_report",
     "weak_stability_check",
     "estimate_lambda0",
-    "exact_product_source",
+    "product_source",
     "weighted_product_error",
     "rate_error_on_support",
 ]
 
-SCHEMES = ("direct-fd", "derivative-free")
+
+def _backward_quotient(values: np.ndarray, spacing: float) -> np.ndarray:
+    """Backward quotient ``(v[j] - v[j-1]) / h``, the value before node 0 read as 0."""
+    d = np.empty_like(values)
+    np.subtract(values[1:], values[:-1], out=d[1:])
+    d[0] = values[0]
+    d /= spacing
+    return d
+
+
+# Difference quotient of the half-sampled observation, per scheme.
+_DATA_QUOTIENTS = {"direct-fd": derivative, "derivative-free": _backward_quotient}
+SCHEMES = tuple(_DATA_QUOTIENTS)
 
 # Nodes where the observation falls below this fraction of its peak carry
 # no usable rate information (the profile vanishes at both ends).
@@ -191,12 +204,14 @@ class RegularizedSolve:
 
     ``rate`` holds P divided by the observation where the observation
     exceeds its support floor and NaN elsewhere; ``defined`` is the
-    corresponding mask. ``data`` keeps the observation the solve consumed.
+    corresponding mask. ``data`` keeps the observation the solve consumed
+    and ``F`` the source values it marched.
     """
 
     alpha: float
     scheme: str
     P: GridFunction
+    F: np.ndarray
     rate: np.ndarray
     defined: np.ndarray
     data: GridFunction
@@ -242,12 +257,12 @@ def _march(F: np.ndarray, alpha: float, h: float) -> np.ndarray:
     return P
 
 
-def stability_report(solve: RegularizedSolve, F: np.ndarray) -> StabilityReport:
-    """Energy diagnostics of ``solve`` against the source values ``F``."""
+def stability_report(solve: RegularizedSolve) -> StabilityReport:
+    """Energy diagnostics of ``solve`` against the source it marched."""
     grid = solve.grid
     h = grid.spacing
     alpha = solve.alpha
-    P = solve.P.values
+    P, F = solve.P.values, solve.F
     dP = derivative(P, h)
     dF = derivative(F, h)
     f_scale = max(1.0, float(np.abs(F).max()))
@@ -262,8 +277,10 @@ def stability_report(solve: RegularizedSolve, F: np.ndarray) -> StabilityReport:
     )
 
 
-def _with_rate(P: np.ndarray, data: GridFunction, alpha: float, scheme: str,
-               lambda0: float) -> RegularizedSolve:
+def _solve(F: np.ndarray, data: GridFunction, alpha: float, scheme: str,
+           lambda0: float) -> RegularizedSolve:
+    """March the source ``F`` and divide the product by the observation ``data``."""
+    P = _march(F, alpha, data.grid.spacing)
     dv = data.values
     defined = dv >= RATE_SUPPORT_FLOOR * float(dv.max())
     rate = np.divide(P, dv, out=np.full_like(P, np.nan), where=defined)
@@ -271,6 +288,7 @@ def _with_rate(P: np.ndarray, data: GridFunction, alpha: float, scheme: str,
         alpha=alpha,
         scheme=scheme,
         P=GridFunction(data.grid, P),
+        F=F,
         rate=rate,
         defined=defined,
         data=data,
@@ -292,14 +310,16 @@ def solve_regularized_general(
         raise ValueError("regularization parameter must be positive and finite")
     if N.grid != F.grid:
         raise ValueError("source and observation grids differ")
-    P = _march(F.values, alpha, F.grid.spacing)
-    return _with_rate(P, N, alpha, "general", float("nan"))
+    return _solve(F.values, N, alpha, "general", float("nan"))
 
 
-def exact_product_source(data: GridFunction, lambda0: float) -> np.ndarray:
-    """Data terms of the product equation: lambda0 N(y/2) + 2 d/dy N(y/2)."""
+def product_source(data: GridFunction, lambda0: float, scheme: str) -> np.ndarray:
+    """Data terms of the product equation, lambda0 N(y/2) + 2 D[N(y/2)], with
+    D the difference quotient of ``scheme``."""
+    if scheme not in _DATA_QUOTIENTS:
+        raise ValueError(f"unknown scheme {scheme!r}")
     half = half_sample_values(data.values)
-    return lambda0 * half + 2.0 * derivative(half, data.grid.spacing)
+    return lambda0 * half + 2.0 * _DATA_QUOTIENTS[scheme](half, data.grid.spacing)
 
 
 def recover_rate(
@@ -309,37 +329,18 @@ def recover_rate(
 ) -> RegularizedSolve:
     """Recover the division rate from an observation.
 
-    ``direct-fd`` assembles the data source with the discrete derivative
-    of the half-sampled observation and marches for P directly.
-    ``derivative-free`` (default) marches for the shifted unknown
-    S(y) = P(y) - (2/alpha) N(y/2), whose equation
-
-        alpha S' + 4 S = S(y/2) + (2/alpha) N(y/4) + (lambda0 - 8/alpha) N(y/2)
-
-    carries no data derivative, then restores P. The recovered rate is
-    P over the observation wherever the observation exceeds its support
-    floor.
+    Marches P on :func:`product_source` of the scheme: ``direct-fd`` differences
+    the half-sampled observation with the centred stencil, ``derivative-free``
+    (default) with the backward quotient. The recovered rate is P over the
+    observation wherever the observation exceeds its support floor.
     """
     if not 0.0 < alpha < np.inf:
         raise ValueError("regularization parameter must be positive and finite")
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}")
     data = obs.data
     if data.values[0] != 0.0:
         raise ValueError("observation must vanish at the origin (filter violated)")
-    h = data.grid.spacing
     lam = obs.growth_rate()
-
-    if scheme == "direct-fd":
-        P = _march(exact_product_source(data, lam), alpha, h)
-    else:
-        half = half_sample_values(data.values)
-        quarter = half_sample_values(half)
-        F_s = (2.0 / alpha) * quarter + (lam - 8.0 / alpha) * half
-        S = _march(F_s, alpha, h)
-        P = S + (2.0 / alpha) * half
-
-    return _with_rate(P, data, alpha, scheme, lam)
+    return _solve(product_source(data, lam, scheme), data, alpha, scheme, lam)
 
 
 def weak_stability_check(exact_solve: RegularizedSolve, noisy_solve: RegularizedSolve) -> tuple[float, float]:

@@ -195,7 +195,7 @@ def test_criterion_6_energy_estimates(grid12, unit_series):
     for values in sources.values():
         F = GridFunction(grid12, values)
         for alpha in (1e-3, 1e-2, 1e-1):
-            rep = stability_report(solve_regularized_general(unit_series, F, alpha), F.values)
+            rep = stability_report(solve_regularized_general(unit_series, F, alpha))
             worst["sup"] = max(worst["sup"], rep.const_sup)
             worst["mass"] = max(worst["mass"], rep.const_mass)
             worst["combined"] = max(worst["combined"], rep.const_combined)

@@ -9,7 +9,8 @@ import celldiv.harness
 from celldiv.cli import _CONFIG_KEYS, _parse_probe, _rate_table, main
 from celldiv.direct import bump_rate, constant_b_series
 from celldiv.entropy import ConvexProbe
-from celldiv.grid import GridFunction, make_grid, read_csv, write_csv
+from celldiv.grid import GridFunction, derivative, make_grid, read_csv, trapezoid, write_csv
+from celldiv.inverse import product_source
 
 
 def test_direct_subcommand(tmp_path):
@@ -191,6 +192,30 @@ def test_invert_subcommand(tmp_path):
     diag = json.loads(out.with_suffix(".diag.json").read_text())
     assert diag["alpha"] == 0.01
     assert diag["scheme"] == "derivative-free"
+
+
+def test_invert_diagnostics_describe_the_marched_source(tmp_path):
+    # Each scheme's .diag.json integrates the source that scheme marched:
+    # the backward data quotient for dfree, the centred one for fd.
+    (tmp_path / "pw.txt").write_text("0,1\n3,2\n")
+    profile = tmp_path / "N.csv"
+    main(["direct", "--bspec", f"piecewise:{tmp_path / 'pw.txt'}", "--grid-n", "4096",
+          "--output", str(profile)])
+    data = read_csv(profile)
+    int_f_sq = {}
+    for short, scheme in (("fd", "direct-fd"), ("dfree", "derivative-free")):
+        out = tmp_path / f"rate_{short}.csv"
+        code = main(["invert", "--data", str(profile), "--alpha", "0.01", "--scheme", short,
+                     "--output", str(out)])
+        assert code == 0
+        diag = json.loads(out.with_suffix(".diag.json").read_text())
+        assert diag["scheme"] == scheme
+        F = product_source(data, diag["lambda0"], scheme)
+        dF = derivative(F, data.grid.spacing)
+        assert diag["int_f_sq"] == pytest.approx(trapezoid(F ** 2, data.grid), rel=1e-12)
+        assert diag["int_df_sq"] == pytest.approx(trapezoid(dF ** 2, data.grid), rel=1e-12)
+        int_f_sq[short] = diag["int_f_sq"]
+    assert int_f_sq["dfree"] != pytest.approx(int_f_sq["fd"], rel=1e-4)
 
 
 @pytest.mark.parametrize("lambda0", ["-1", "0", "nan", "inf"])

@@ -513,6 +513,36 @@ def test_residual_without_sign_change_fails_loudly(monkeypatch):
         solve_direct(constant_rate(make_grid(12.0, 256), 1.0))
 
 
+def test_walk_without_sign_change_quotes_the_bracket_ends(monkeypatch):
+    # Every residual is positive: the walk down the bracket finds nothing,
+    # and the error still quotes the residuals at lam_lo and lam_hi.
+    lams = []
+
+    def shoot(B, h, lam):
+        lams.append(lam)
+        return 1.0 + lam, np.ones(B.size), np.ones(1), 1.0
+
+    monkeypatch.setattr(celldiv.direct, "_shoot", shoot)
+    with pytest.raises(RuntimeError, match=r"residuals 1\.99 and 2\.01 at its ends"):
+        solve_direct(constant_rate(make_grid(12.0, 256), 1.0))
+    assert len(lams) == 2 + celldiv.direct._BRACKET_WALK
+    assert lams[2:] == sorted(lams[2:], reverse=True)
+
+
+def test_two_root_bracket_solves_to_its_upper_root():
+    # Both bracket ends have one sign: the residual has roots near 0.37 and
+    # 24.27, and the upper one is the Perron root.
+    def rate(n):
+        return piecewise_rate(make_grid(6.0, n), [0.0, 0.28, 0.83], [24.267, 2.005, 0.315])
+
+    fine = rate(4096)
+    pair = solve_direct(fine)
+    assert pair.lambda0 == pytest.approx(24.26682, abs=1e-4)
+    assert pair.N.values.min() >= 0.0
+    assert check_invariants(pair, fine).passed
+    assert solve_direct(rate(256)).lambda0 == pytest.approx(24.267, abs=1e-3)
+
+
 def test_non_perron_root_fails_loudly(monkeypatch):
     def shoot(B, h, lam):
         v = np.ones(B.size)
@@ -622,8 +652,8 @@ def test_direct_solve_takes_at_most_8_marches_at_fine_grids(name, n):
 
 def test_random_piecewise_rates_solve_or_fail_by_name():
     # Seeded fuzz of the solve's contract: a Perron pair inside the widened
-    # rate bounds, or one of the two named failures. Seed 7 gives 139
-    # solves, 46 brackets without a sign change and 15 coarse grids.
+    # rate bounds, or one of the two named failures. Seed 7 gives 152
+    # solves, 33 brackets without a sign change and 15 coarse grids.
     rng = np.random.default_rng(7)
     solved = 0
     for _ in range(200):

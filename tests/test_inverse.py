@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from celldiv.direct import constant_b_series
+from celldiv.direct import constant_b_series, piecewise_rate, solve_direct
 from celldiv.fitting import fit_loglog_slope
 from celldiv.grid import GridFunction, half_sample_values, make_grid, norm
 from celldiv.harness import add_noise, default_filters
@@ -9,7 +9,7 @@ from celldiv.inverse import (
     _march,
     clamp_observation,
     estimate_lambda0,
-    exact_product_source,
+    product_source,
     rate_error_on_support,
     recover_rate,
     solve_regularized_general,
@@ -116,9 +116,9 @@ def test_general_solve_boundary_value(exact_obs):
 
 
 def test_general_solve_recovers_product_from_exact_source(grid12, unit_series):
-    from celldiv.inverse import exact_product_source
+    from celldiv.inverse import product_source
 
-    F = GridFunction(grid12, exact_product_source(unit_series, 1.0))
+    F = GridFunction(grid12, product_source(unit_series, 1.0, "direct-fd"))
     solve = solve_regularized_general(unit_series, F, 1e-3)
     # P approximates B N = N for the unit rate
     err = norm(solve.P.values - unit_series.values, grid12)
@@ -131,7 +131,7 @@ def test_energy_estimates_manufactured_sources(grid12, unit_series):
     for values in sources:
         F = GridFunction(grid12, values)
         for alpha in (1e-3, 1e-2, 1e-1):
-            report = stability_report(solve_regularized_general(unit_series, F, alpha), F.values)
+            report = stability_report(solve_regularized_general(unit_series, F, alpha))
             assert report.const_sup <= 1.1
             assert report.const_mass <= 1.1
             assert report.const_combined <= 1.1
@@ -169,9 +169,11 @@ def test_schemes_agree_to_first_order(unit_series, grid12):
 
 def test_consistency_slope_ladder():
     # Noise-free slopes over the alphas of criterion 7. The derivative-free
-    # scheme substitutes (2/alpha) N(y/2), which needs h well below alpha:
-    # its slope climbs from 0.77 at n = 4096 and exceeds 0.99 from n = 32768
-    # (h = 3.7e-4 against alpha = 1e-3). direct-fd sits at 0.998 throughout.
+    # scheme's backward quotient turns the O(h^2) ripple of the half-sampled
+    # data into an O(h) source error, so it needs h well below alpha: its
+    # slope climbs from 0.77 at n = 4096 and exceeds 0.99 from n = 32768
+    # (h = 3.7e-4 against alpha = 1e-3). direct-fd, centred, sits at 0.998
+    # throughout.
     alphas = [1e-3, 3.16e-3, 1e-2, 3.16e-2, 1e-1]
     slopes = {"direct-fd": [], "derivative-free": []}
     for n in (4096, 8192, 16384, 32768, 65536):
@@ -272,7 +274,7 @@ def test_march_matches_per_node_loop(n):
     data = perturbed(constant_b_series(1.0, grid), 1e-3, unit_noise(grid, 0))
     half = half_sample_values(data.values)
     quarter = half_sample_values(half)
-    fd_source = exact_product_source(data, 1.0)
+    fd_source = product_source(data, 1.0, "direct-fd")
     sweep_alphas = [float(np.sqrt(eps)) for eps in (1e-2, 1e-3, 1e-4, 1e-5)]  # README sweep
     for alpha in (1e-8, 1e-4, 3e-3, 1e-2, 0.3, 10.0, *sweep_alphas):
         dfree_source = (2.0 / alpha) * quarter + (1.0 - 8.0 / alpha) * half
@@ -281,3 +283,38 @@ def test_march_matches_per_node_loop(n):
             got = _march(F, alpha, grid.spacing)
             assert got[0] == 0.0
             assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected)), alpha
+
+
+def _shifted_unknown_march(data, lambda0, alpha):
+    """Oracle: the derivative-free scheme in its shifted form. March
+    S = P - (2/alpha) N(y/2) on (2/alpha) N(y/4) + (lambda0 - 8/alpha) N(y/2),
+    a source with no data difference, and restore P."""
+    half = half_sample_values(data.values)
+    quarter = half_sample_values(half)
+    S = _march((2.0 / alpha) * quarter + (lambda0 - 8.0 / alpha) * half, alpha, data.grid.spacing)
+    return S + (2.0 / alpha) * half
+
+
+@pytest.mark.parametrize("n", [1024, 4096, 65536])
+def test_backward_quotient_march_is_the_shifted_unknown_march(n):
+    # Substituting S into the implicit step is exact but at node 1, whose
+    # half-argument read takes the not yet computed node as 0, which means
+    # P = 0 in one form and S = 0 in the other. That gap decays along the
+    # march; noise-free it is 3.6e-5 of max |P| at n = 1024 (step rate).
+    grid = make_grid(12.0, n)
+    sweep_alphas = [float(np.sqrt(eps)) for eps in (1e-2, 1e-3, 1e-4, 1e-5)]  # README sweep
+    step = solve_direct(piecewise_rate(grid, [0.0, 3.0], [1.0, 2.0])).N
+    for truth in (constant_b_series(1.0, grid), step):
+        filters = default_filters(truth)
+        for eps in (0.0, 1e-3, 1e-5):
+            if eps:
+                obs = add_noise(truth, eps, unit_noise(grid, 3), filters)
+                bound = 1e-11
+            else:
+                obs = clamp_observation(truth, filters)
+                bound = 5e-5 if n == 1024 else 1e-9
+            for alpha in (0.1, 0.01, 1e-3, *sweep_alphas):
+                got = recover_rate(obs, alpha, "derivative-free").P.values
+                expected = _shifted_unknown_march(obs.data, obs.growth_rate(), alpha)
+                gap = np.max(np.abs(got - expected))
+                assert gap <= bound * np.max(np.abs(expected)), (eps, alpha)
