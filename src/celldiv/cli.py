@@ -87,7 +87,7 @@ def _cmd_direct(args) -> int:
         "lambda0": pair.lambda0,
         "lambda0_quad": report.checks["f1"].rhs,  # int B N
         "residual_N": direct_residual(pair.N, rate, pair.lambda0),
-        "residual_phi": None if phi is None else adjoint_residual(phi, rate, pair.lambda0),
+        "residual_phi": None if phi is None else adjoint_residual(phi, rate, pair.lambda0, pair.N),
         "iterations": pair.iterations,
         "phi_growth": None if phi is None else float(np.max(phi.values / (1.0 + grid.nodes))),
         "invariants_passed": report.passed,

@@ -15,10 +15,12 @@ reads its doubled arguments from nodes already solved and is one prefix
 sum; the lowest nodes are marched one at a time. lambda0 is the root of
 the shooting residual N_lambda(0) = 0. The root search's marches form only
 the residual, N is formed once, at the root, and the direct solve is O(n)
-per root iteration. The adjoint profile is the
-positive eigenvector of the unit-CFL downwind step (an exact node shift with
-the reaction and half-argument terms averaged along the characteristic),
-found by a few dozen right-to-left recurrence sweeps, each O(n).
+per root iteration. The adjoint has no discretization of its own: phi is
+the left null vector of the same collocation rows, found by at most a few
+dozen right-to-left recurrence sweeps, each O(n), that lag the
+half-argument term. So the discrete solvability condition int phi dR = 0
+holds to round-off, and phi has an outflow layer 1 - e^{-(lambda0+B)(L-x)}
+at the truncation boundary, where the half-line adjoint would stay flat.
 
 For constant B = b there is a closed-form Dirichlet series solution which
 serves as an independent oracle for everything else in this module.
@@ -168,12 +170,13 @@ _SIGN_TOLERANCE = 1e-10
 # when both ends of the bracket have one sign.
 _BRACKET_WALK = 32
 # Caps on the root search's marches and on the adjoint's sweeps. The
-# acceptance rates take at most 8 marches and 37 sweeps up to n = 65536.
+# acceptance rates take at most 8 marches up to n = 65536, and at most 36
+# sweeps at the default tol (38 at tol 1e-12).
 _MAX_MARCHES = 200
 _MAX_SWEEPS = 200
-# Floor of the adjoint stop threshold. Once converged, the sweep-to-sweep
-# change of the pairing-normalized iterate is round-off: up to about
-# 20 eps at n = 4096 and 230 eps at n = 65536 on the bump rate.
+# Floor of the adjoint stop threshold: a margin kept well above the
+# round-off of converged sweeps (up to about 1.3 eps at n = 4096 and 65536
+# on the bump rate), so tighter tolerances stop here, not at round-off.
 _ADJOINT_FLOOR = 256 * sys.float_info.epsilon
 
 
@@ -372,20 +375,24 @@ def solve_adjoint(
     N: GridFunction,
     tol: float = 1e-9,
 ) -> GridFunction:
-    """Adjoint profile by right-to-left recurrence sweeps, reusing ``lambda0``.
+    """Adjoint profile: the left null vector of :func:`_shoot`'s rows, by sweeps.
 
-    ``phi`` is the positive eigenvector of the unit-CFL downwind step ``S``:
-    ``(S psi)_j = psi_{j+1} + h/2 (G_j + G_{j+1})`` with
-    ``G = 2 B psi(x/2) - (lambda0 + B) psi`` and a flat ghost value at the
-    truncation boundary. Each sweep lags the half-argument term, takes the
-    eigenvalue estimate ``mu = int (S psi) N`` from one step, solves
-    ``S psi = mu psi`` for the other terms as one linear recurrence with
-    coefficients ``(1 - r) / (mu + r)``, ``r = h/2 (lambda0 + B)``, from the
-    boundary row leftward, and renormalizes to ``int psi N = 1``. The
-    pairing with ``N`` also weights the convergence test, which stops once
-    the change falls below ``tol * h`` or, when that is below round-off,
-    256 machine epsilons. ``_MAX_SWEEPS`` caps the sweeps. Raises unless
-    ``h (b_max + lambda0) < 2``, which keeps those coefficients positive.
+    Weight ``w_k`` multiplies the collocation row ``k = 1..n``; with
+    ``a = h/2 (lambda0 + B)`` column ``j`` of the transposed rows reads
+    ``(1 + a_j) w_j = (1 - a_j) w_{j+1} + 2 h B_j (w_{j/2} + w_{j/2+1})``,
+    ``w_{n+1} = 0``, the last term for even ``j`` only. Each sweep takes
+    that half-argument term from the previous sweep and solves the rest as
+    one right-to-left linear recurrence with coefficients
+    ``(1 - a_j) / (1 + a_j)``. Nodes take ``phi_j = (w_j + w_{j+1}) / 2``,
+    so ``trapezoid(phi r)`` is the row-weighted sum of any node residual
+    ``r`` that vanishes at 0 and L, and ``phi`` has an outflow layer that
+    falls to ``w_n / 2`` at L, which is 0 for odd ``n`` (column ``n`` then
+    has no half-argument term); ``phi_0 = 2 phi_1 - phi_2``. Each iterate
+    is normalized to ``int phi N = 1``, and that pairing also weights the
+    convergence test, which stops once the change falls below ``tol * h``
+    or, when that is below round-off, 256 machine epsilons.
+    ``_MAX_SWEEPS`` caps the sweeps. Raises unless
+    ``h (b_max + lambda0) < 2``, which keeps the coefficients positive.
     """
     grid = rate.grid
     B = rate.values
@@ -393,47 +400,47 @@ def solve_adjoint(
     if 0.5 * h * (rate.b_max + lambda0) >= 1.0:
         raise ValueError("grid too coarse for the adjoint: need h (b_max + lambda0) < 2")
     Nv = N.values
-    r = 0.5 * h * (lambda0 + B)
-    step = np.empty_like(Nv)
-
-    psi = np.ones(grid.intervals + 1)
-    psi /= trapezoid(psi * Nv, grid)
+    n = grid.intervals
+    a = 0.5 * h * (lambda0 + B[1:])  # a_j, j = 1..n
+    coef = ((1.0 - a) / (1.0 + a))[::-1]
+    gain = 2.0 * h * B[2::2] / (1.0 + a[1::2])  # even j
+    source = np.zeros(n)
+    w = np.append(np.ones(n + 1), 0.0)  # w[k] weights row k; w[0] is unused, w[n + 1] = 0
+    phi = np.full(n + 1, 1.0 / trapezoid(Nv, grid))
     threshold = max(tol * h, _ADJOINT_FLOOR)
     for _ in range(_MAX_SWEEPS):
-        BH = B * half_sample_values(psi)
-        G = 2.0 * BH - (lambda0 + B) * psi
-        step[:-1] = psi[1:] + 0.5 * h * (G[:-1] + G[1:])
-        step[-1] = psi[-1] + h * G[-1]
-        mu = trapezoid(step * Nv, grid)
-        den = mu + r[:-1]
-        new = np.empty_like(psi)
-        new[-1] = 2.0 * h * BH[-1] / (mu - 1.0 + 2.0 * r[-1])
-        coef = ((1.0 - r[1:]) / den)[::-1]
-        new[:-1] = linear_recurrence(coef, (h * (BH[:-1] + BH[1:]) / den)[::-1], new[-1])[::-1]
+        source[1::2] = gain * (w[1 : n // 2 + 1] + w[2 : n // 2 + 2])
+        w[n:0:-1] = linear_recurrence(coef, source[::-1])
+        new = 0.5 * (w[:-1] + w[1:])
+        new[0] = 2.0 * new[1] - new[2]
         c = trapezoid(new * Nv, grid)
         if not np.isfinite(c) or c <= 0.0:
             raise RuntimeError("adjoint iteration lost positivity of the pairing")
         new /= c
-        if new.min() <= 0.0:
+        w /= c
+        if new[:-1].min() <= 0.0 or new[-1] < 0.0:
             raise RuntimeError("adjoint iterate changed sign")
-        diff = trapezoid(np.abs(new - psi) * Nv, grid)
-        psi = new
+        diff = trapezoid(np.abs(new - phi) * Nv, grid)
+        phi = new
         if diff <= threshold:
             break
     else:
         raise RuntimeError(f"adjoint solve did not converge in {_MAX_SWEEPS} iterations")
-    return GridFunction(grid, psi)
+    return GridFunction(grid, phi)
 
 
-def adjoint_residual(phi: GridFunction, rate: RateBounds, lambda0: float) -> float:
-    """Centred-difference residual of the continuous adjoint equation on ``phi``.
+def adjoint_residual(phi: GridFunction, rate: RateBounds, lambda0: float, N: GridFunction) -> float:
+    """Centred-difference residual of the continuous adjoint equation on ``phi``,
+    in the ``N``-weighted norm that pairs ``phi`` with ``N``.
 
     An O(h^2) discretization-error estimate, not the residual of the
-    discrete fixed point that :func:`solve_adjoint` solves.
+    transposed rows that :func:`solve_adjoint` solves. The weight keeps it
+    O(h^2) through the outflow layer at L, where ``N`` has decayed and the
+    layer's last nodes are first order.
     """
     B, v = rate.values, phi.values
     r = derivative(v, phi.grid.spacing) - (lambda0 + B) * v + 2.0 * B * half_sample_values(v)
-    return norm(r, phi.grid)
+    return norm(r, phi.grid, N.values)
 
 
 def solve_pair(rate: RateBounds, tol: float = 1e-9) -> EigenPair:

@@ -11,7 +11,6 @@ outputs are pure functions of the configuration and seeds.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -44,7 +43,7 @@ __all__ = [
     "emit_report",
 ]
 
-CSV_SCHEMA = "epsilon,alpha,seed,err_weighted,err_plain,h2_norm,runtime_ms"
+CSV_SCHEMA = "epsilon,alpha,seed,err_weighted,err_plain,h2_norm"
 
 # Upper envelope default: a multiple of the truth, which vanishes at both
 # ends and caps unrealistic excursions without biasing the bulk.
@@ -158,7 +157,6 @@ class StudyRow:
     err_weighted: float
     err_plain: float
     h2_norm: float
-    runtime_ms: int
     nominal_epsilon: float = field(compare=False, default=0.0)
 
 
@@ -214,15 +212,11 @@ def convergence_study(cfg: ExperimentConfig) -> StudyReport:
         for eps in cfg.epsilons:
             alpha = cfg.alpha_for(eps)
             for seed in range(cfg.seeds):
-                t0 = time.perf_counter()
                 obs = add_noise(pair.N, eps, draws[seed], filters, lambda0=pair.lambda0)
                 solve = recover_rate(obs, alpha, cfg.scheme)
                 err_w = weighted_product_error(solve, truth_rate)
                 err_p = rate_error_on_support(solve, truth_rate)
-                ms = int(round(1000.0 * (time.perf_counter() - t0)))
-                rows.append(
-                    StudyRow(obs.epsilon, alpha, seed, err_w, err_p, h2, ms, nominal_epsilon=eps)
-                )
+                rows.append(StudyRow(obs.epsilon, alpha, seed, err_w, err_p, h2, nominal_epsilon=eps))
                 if eps == 0.0:
                     break  # deterministic row, further seeds are identical
     except Exception:
@@ -243,7 +237,7 @@ def _csv_text(report: StudyReport) -> str:
     for r in report.rows:
         lines.append(
             f"{r.epsilon!r},{r.alpha!r},{r.seed},{r.err_weighted!r},"
-            f"{r.err_plain!r},{r.h2_norm!r},{r.runtime_ms}"
+            f"{r.err_plain!r},{r.h2_norm!r}"
         )
     return "\n".join(lines) + "\n"
 

@@ -20,7 +20,6 @@ from celldiv.direct import (
 from celldiv.grid import (
     GridFunction,
     derivative,
-    half_sample_values,
     linear_recurrence,
     make_grid,
     norm,
@@ -70,37 +69,44 @@ def _power_iteration(rate, tol, max_iters=500_000):
     raise AssertionError("power iteration did not converge")
 
 
-def _adjoint_power_iteration(rate, lambda0, N, tol, max_iters=500_000):
-    """Reference oracle: renormalized downwind stepping at unit CFL.
+def _collocation_rows(B, h, lam):
+    """The n x n matrix of :func:`celldiv.direct._shoot`'s rows.
 
-    Each step is an exact left shift with the reaction and half-argument
-    terms averaged along the characteristic and the ghost value held flat
-    at the truncation boundary; the fixed point is the eigenvector that
-    :func:`solve_adjoint` sweeps to. Thousands of O(n) steps at n = 4096.
-    Returns the values of phi, normalized to int phi N = 1.
+    Row ``k = 1..n`` is the collocation equation
+    ``v[k] - v[k-1] = h/2 (G[k] + G[k-1])``, ``G = 4 B(2x) v(2x) - (B + lam) v``,
+    on the unknowns ``v[1..n]``: ``v[0]`` is the boundary value 0, and
+    ``v(2x)`` is 0 past L.
     """
-    grid = rate.grid
-    B = rate.values
-    h = grid.spacing
-    Nv = N.values
-    psi = np.ones(grid.intervals + 1)
-    psi /= trapezoid(psi * Nv, grid)
-    shifted = np.empty_like(psi)
-    g_shift = np.empty_like(psi)
-    for _ in range(max_iters):
-        G = 2.0 * B * half_sample_values(psi) - (lambda0 + B) * psi
-        shifted[:-1] = psi[1:]
-        shifted[-1] = psi[-1]
-        g_shift[:-1] = G[1:]
-        g_shift[-1] = G[-1]
-        new = shifted + 0.5 * h * (G + g_shift)
-        new /= trapezoid(new * Nv, grid)
-        assert new.min() > 0.0
-        diff = trapezoid(np.abs(new - psi) * Nv, grid)
-        psi = new
-        if diff <= tol * h:
-            return psi
-    raise AssertionError("adjoint power iteration did not converge")
+    n = B.size - 1
+    a = 0.5 * h * (lam + B)
+    M = np.zeros((n, n))
+    k = np.arange(1, n + 1)
+    M[k - 1, k - 1] = 1.0 + a[1:]
+    M[k[1:] - 1, k[1:] - 2] = -(1.0 - a[1:-1])
+    up = k[2 * k <= n]  # v(2x) at the row's right node
+    M[up - 1, 2 * up - 1] -= 2.0 * h * B[2 * up]
+    down = k[(k >= 2) & (2 * k - 2 <= n)]  # and at its left node
+    M[down - 1, 2 * down - 3] -= 2.0 * h * B[2 * down - 2]
+    return M
+
+
+def _dense_left_null_vector(rate, lambda0, N):
+    """Reference oracle: inverse iteration on the dense transpose of
+    :func:`celldiv.direct._shoot`'s rows at ``lambda0``.
+
+    The row weights ``w`` span the left null vector; the nodes take
+    ``phi_j = (w_j + w_{j+1}) / 2`` with ``w_{n+1} = 0`` and
+    ``phi_0 = 2 phi_1 - phi_2``, normalized to ``int phi N = 1``.
+    """
+    M = _collocation_rows(rate.values, rate.grid.spacing, lambda0)
+    w = np.ones(M.shape[0])
+    for _ in range(3):  # M is singular up to the root's tolerance: one step nearly suffices
+        w = np.linalg.solve(M.T, w / np.abs(w).max())
+    w = np.append(w, 0.0)
+    phi = np.empty(w.size)
+    phi[1:] = 0.5 * (w[:-1] + w[1:])
+    phi[0] = 2.0 * phi[1] - phi[2]
+    return phi / trapezoid(phi * N.values, rate.grid)
 
 
 def _block_march(B, h, lam):
@@ -363,10 +369,20 @@ def test_eigen_residual_refines_at_second_order():
     assert residuals[0] / residuals[1] >= 1.7
 
 
+def _outflow_layer_start(pair, b, length, depth):
+    """First x of the adjoint's outflow layer ``1 - e^{-(lambda0 + b)(L - x)}``
+    for constant ``b``: below it the layer is under ``e^{-depth}``."""
+    return length - depth / (pair.lambda0 + b)
+
+
 def test_adjoint_constant_rate_is_flat(unit_pair, grid12):
+    # phi = 1 is the half-line adjoint; the truncated one falls to about
+    # 2 h b at L. In the bulk it sits 3.2e-9 above 1 at every n (truncation).
     phi = unit_pair.phi
     assert phi is not None
-    np.testing.assert_allclose(phi.values, 1.0, atol=1e-9)
+    bulk = grid12.nodes <= _outflow_layer_start(unit_pair, 1.0, 12.0, 21.0)
+    np.testing.assert_allclose(phi.values[bulk], 1.0, rtol=0.0, atol=1e-8)
+    assert 0.0 < phi.values[-1] <= 5.0 * grid12.spacing
     assert trapezoid(phi.values * unit_pair.N.values, grid12) == pytest.approx(1.0, abs=1e-12)
     assert np.isfinite(np.max(phi.values / (1.0 + grid12.nodes)))
 
@@ -380,7 +396,7 @@ def test_adjoint_bump_rate_properties():
     assert trapezoid(phi.values * pair.N.values, grid) == pytest.approx(1.0, abs=1e-12)
     growth = np.max(phi.values / (1.0 + grid.nodes))
     assert np.isfinite(growth)
-    assert adjoint_residual(phi, rate, pair.lambda0) <= 50.0 * grid.spacing ** 2
+    assert adjoint_residual(phi, rate, pair.lambda0, pair.N) <= 50.0 * grid.spacing ** 2
 
 
 def test_adjoint_residual_refines_at_second_order():
@@ -389,24 +405,41 @@ def test_adjoint_residual_refines_at_second_order():
         grid = make_grid(12.0, n)
         rate = bump_rate(grid, 1.0, 0.4, 2.0, 1.5)
         pair = solve_pair(rate, tol=1e-11)
-        residuals.append(adjoint_residual(pair.phi, rate, pair.lambda0))
+        residuals.append(adjoint_residual(pair.phi, rate, pair.lambda0, pair.N))
     assert residuals[0] / residuals[1] >= 1.7
 
 
 @pytest.mark.parametrize("name", ACCEPTANCE_RATES)
-@pytest.mark.parametrize("n", [1024, 2048])
+@pytest.mark.parametrize("n", [256, 1024, 2048])
 def test_adjoint_sweeps_match_power_iteration(name, n):
     grid = make_grid(12.0, n)
     rate = ACCEPTANCE_RATES[name](grid)
     pair = solve_direct(rate)
+    # the oracle's rows are _shoot's: they annihilate its march at the root
+    # (the first row up to the shooting residual, which multiplies v[0])
+    _, v = _shot_profile(rate.values, grid.spacing, pair.lambda0)
+    rows = _collocation_rows(rate.values, grid.spacing, pair.lambda0)
+    assert np.max(np.abs(rows @ v[1:])[1:]) <= 1e-13
     phi = solve_adjoint(rate, pair.lambda0, pair.N)
-    ref = _adjoint_power_iteration(rate, pair.lambda0, pair.N, tol=1e-11)
+    ref = _dense_left_null_vector(rate, pair.lambda0, pair.N)
     assert np.max(np.abs(phi.values - ref) / ref) <= 1e-8
+
+
+def test_adjoint_on_odd_grid_vanishes_only_at_L():
+    # For odd n column n of the rows has no half-argument term, so the row
+    # weight w_n and phi(L) = w_n / 2 are 0; every other node stays positive.
+    grid = make_grid(12.0, 1001)
+    rate = bump_rate(grid, 1.0, 0.4, 2.0, 1.5)
+    pair = solve_pair(rate)
+    phi = pair.phi.values
+    assert phi[:-1].min() > 0.0
+    assert phi[-1] == 0.0
+    ref = _dense_left_null_vector(rate, pair.lambda0, pair.N)
+    np.testing.assert_allclose(phi[:-1], ref[:-1], rtol=1e-8)
 
 
 @pytest.mark.parametrize("name", ACCEPTANCE_RATES)
 def test_adjoint_converges_in_64_sweeps_at_n4096(name, monkeypatch):
-    # unit-CFL stepping would need thousands of steps at n = 4096
     monkeypatch.setattr(celldiv.direct, "_MAX_SWEEPS", 64)
     rate = ACCEPTANCE_RATES[name](make_grid(12.0, 4096))
     pair = solve_direct(rate)
@@ -415,12 +448,21 @@ def test_adjoint_converges_in_64_sweeps_at_n4096(name, monkeypatch):
 
 
 def test_adjoint_refinement_ladder():
-    residuals = []
+    # The N-weighted residual, and the Richardson differences on x <= 5,
+    # away from the outflow layer at L, both fall like h^2.
+    residuals, changes, coarse = [], [], None
     for n in (1024, 2048, 4096, 8192, 16384, 32768, 65536):
-        rate = bump_rate(make_grid(12.0, n), 1.0, 0.4, 2.0, 1.5)
+        grid = make_grid(12.0, n)
+        rate = bump_rate(grid, 1.0, 0.4, 2.0, 1.5)
         pair = solve_pair(rate)
-        residuals.append(adjoint_residual(pair.phi, rate, pair.lambda0))
+        residuals.append(adjoint_residual(pair.phi, rate, pair.lambda0, pair.N))
+        if coarse is not None:
+            common = pair.phi.values[::2] - coarse
+            changes.append(np.abs(common[grid.nodes[::2] <= 5.0]).max())
+        coarse = pair.phi.values
     ratios = np.array(residuals[:-1]) / np.array(residuals[1:])
+    assert ratios.min() >= 3.5, ratios
+    ratios = np.array(changes[:-1]) / np.array(changes[1:])
     assert ratios.min() >= 3.5, ratios
 
 
@@ -477,8 +519,11 @@ def test_steep_rate_invariants_finite():
 
 def test_steep_rate_adjoint_stays_flat():
     # the sweep coefficients multiply to about e^-1600 over [0, L]
-    pair = solve_pair(constant_rate(make_grid(40.0, 16384), 20.0))
-    np.testing.assert_allclose(pair.phi.values, 1.0, rtol=0.0, atol=1e-9)
+    grid = make_grid(40.0, 16384)
+    pair = solve_pair(constant_rate(grid, 20.0))
+    bulk = grid.nodes <= _outflow_layer_start(pair, 20.0, 40.0, 24.0)
+    np.testing.assert_allclose(pair.phi.values[bulk], 1.0, rtol=0.0, atol=1e-9)
+    assert 0.0 < pair.phi.values[-1] <= 5.0 * grid.spacing * 20.0
 
 
 def test_direct_solve_rejects_coarse_grid():
@@ -487,7 +532,7 @@ def test_direct_solve_rejects_coarse_grid():
 
 
 def test_adjoint_rejects_coarse_grid():
-    # r = h/2 (lambda0 + B) >= 1 would turn the sweep coefficients (1 - r) / (mu + r) negative
+    # a = h/2 (lambda0 + B) >= 1 would turn the sweep coefficients (1 - a) / (1 + a) negative
     grid = make_grid(12.0, 16)
     rate = constant_rate(grid, 1.0)
     N = solve_direct(rate).N
@@ -497,9 +542,8 @@ def test_adjoint_rejects_coarse_grid():
 
 def test_pair_max_iters_caps_only_the_adjoint(monkeypatch):
     # Three steps suffice for neither solve on a bump, whose adjoint takes
-    # about 30 sweeps at n = 256 (B = 1 would make phi = 1 exact at once):
-    # the sweep cap must reach the adjoint and leave the direct root
-    # search alone.
+    # about 30 sweeps at n = 256: the sweep cap must reach the adjoint and
+    # leave the direct root search alone.
     monkeypatch.setattr(celldiv.direct, "_MAX_SWEEPS", 3)
     with pytest.raises(RuntimeError, match="adjoint solve did not converge in 3 iterations"):
         solve_pair(bump_rate(make_grid(12.0, 256), 1.0, 0.4, 2.0, 1.5))
@@ -653,9 +697,13 @@ def test_direct_solve_takes_at_most_8_marches_at_fine_grids(name, n):
 def test_random_piecewise_rates_solve_or_fail_by_name():
     # Seeded fuzz of the solve's contract: a Perron pair inside the widened
     # rate bounds, or one of the two named failures. Seed 7 gives 152
-    # solves, 33 brackets without a sign change and 15 coarse grids.
+    # solves, 33 brackets without a sign change and 15 coarse grids. Every
+    # solved rate also gets its adjoint: a positive phi paired to 1 with N,
+    # or the named failure to converge. Draw 134 (L b_min = 0.75) needs
+    # more than _MAX_SWEEPS sweeps; the other 151 converge.
     rng = np.random.default_rng(7)
     solved = 0
+    adjoints = []
     for _ in range(200):
         pieces = int(rng.integers(1, 5))
         values = 10.0 ** rng.uniform(-2.0, 1.5, pieces)
@@ -675,4 +723,15 @@ def test_random_piecewise_rates_solve_or_fail_by_name():
             assert pair.N.values.min() >= 0.0
             assert trapezoid(pair.N.values, rate.grid) == pytest.approx(1.0, abs=1e-12)
             solved += 1
+            try:
+                phi = solve_adjoint(rate, pair.lambda0, pair.N)
+            except RuntimeError as err:
+                assert str(err).startswith("adjoint solve did not converge"), err
+                adjoints.append(False)
+            else:
+                assert phi.values.min() > 0.0
+                pairing = trapezoid(phi.values * pair.N.values, rate.grid)
+                assert pairing == pytest.approx(1.0, abs=1e-12)
+                adjoints.append(True)
     assert solved >= 100
+    assert (adjoints.count(True), adjoints.count(False)) == (151, 1)

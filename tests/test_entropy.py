@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import celldiv.entropy
-from celldiv.direct import bump_values, constant_rate, piecewise_rate, solve_direct, solve_pair
+from celldiv.direct import bump_rate, bump_values, constant_rate, piecewise_rate, solve_direct, solve_pair
 from celldiv.entropy import (
     RATIO_FLOOR,
     ConvexProbe,
@@ -62,15 +62,29 @@ def test_constant_shift_moves_growth_rate_only(small_grid, small_base):
 
 
 def test_perturbation_solvability(small_grid, small_base):
-    rate = constant_rate(small_grid, 1.0)
-    pair = build_perturbation(rate, _bump(small_grid, 2.0, 1.5, 0.08), base=small_base)
-    # both conditions hold at the discretization level
-    mass = trapezoid(pair.delta_n, small_grid)
-    adjoint = trapezoid(small_base.phi.values * pair.delta_r, small_grid)
-    assert abs(mass) <= 1e-12
-    assert abs(adjoint) <= 1e-6
-    scale = norm(pair.delta_r, small_grid)
-    assert abs(adjoint) <= 1e-3 * scale
+    # The adjoint weights the collocation rows, so int phi dR is their
+    # weighted sum and vanishes to round-off; the step rate's jump leaves
+    # phi first order in h, and the condition still holds exactly.
+    step = piecewise_rate(small_grid, [0.0, 3.0], [1.0, 2.0])
+    cases = ((constant_rate(small_grid, 1.0), small_base), (step, solve_pair(step, tol=1e-11)))
+    for rate, base in cases:
+        pair = build_perturbation(rate, _bump(small_grid, 2.0, 1.5, 0.08), base=base)
+        mass = trapezoid(pair.delta_n, small_grid)
+        adjoint = trapezoid(base.phi.values * pair.delta_r, small_grid)
+        assert abs(mass) <= 1e-12
+        assert abs(adjoint) <= 1e-12
+        scale = norm(pair.delta_r, small_grid)
+        assert abs(adjoint) <= 1e-3 * scale
+
+
+def test_perturbation_solvability_on_odd_grid():
+    # On an odd grid phi(L) = 0, and the condition still holds to round-off.
+    grid = make_grid(12.0, 1001)
+    rate = bump_rate(grid, 1.0, 0.4, 2.0, 1.5)
+    base = solve_pair(rate, tol=1e-11)
+    assert base.phi.values[:-1].min() > 0.0
+    pair = build_perturbation(rate, _bump(grid, 2.0, 1.5, 0.08), base=base)
+    assert abs(trapezoid(base.phi.values * pair.delta_r, grid)) <= 1e-12
 
 
 def test_eigenvalue_shift_bound(small_grid, small_base):

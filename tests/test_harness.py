@@ -220,7 +220,6 @@ def test_partial_results_persisted_on_failure(tmp_path, monkeypatch):
 def test_pipeline_determinism(small_cfg):
     a = convergence_study(small_cfg)
     b = convergence_study(small_cfg)
-    # identical apart from wall-clock timings
     for ra, rb in zip(a.rows, b.rows):
         assert ra.epsilon == rb.epsilon
         assert ra.alpha == rb.alpha
@@ -228,6 +227,14 @@ def test_pipeline_determinism(small_cfg):
         assert ra.err_weighted == rb.err_weighted
         assert ra.err_plain == rb.err_plain
     assert a.slope == b.slope
+
+
+def test_repeated_studies_write_identical_tables(small_cfg, tmp_path):
+    # the table holds no wall-clock column, so a rerun is byte-identical
+    first = emit_report(convergence_study(small_cfg), tmp_path / "a")["csv"].read_bytes()
+    second = emit_report(convergence_study(small_cfg), tmp_path / "b")["csv"].read_bytes()
+    assert first == second
+    assert first.splitlines()[0] == b"epsilon,alpha,seed,err_weighted,err_plain,h2_norm"
 
 
 def test_error_decomposition_bound(small_cfg):
