@@ -171,13 +171,13 @@ _SIGN_TOLERANCE = 1e-10
 _BRACKET_WALK = 32
 # Caps on the root search's marches and on the adjoint's sweeps. The
 # acceptance rates take at most 8 marches up to n = 65536, and at most 36
-# sweeps at the default tol (38 at tol 1e-12).
+# sweeps at the default tol (44 at tol 1e-12 and below).
 _MAX_MARCHES = 200
 _MAX_SWEEPS = 200
-# Floor of the adjoint stop threshold: a margin kept well above the
-# round-off of converged sweeps (up to about 1.3 eps at n = 4096 and 65536
-# on the bump rate), so tighter tolerances stop here, not at round-off.
-_ADJOINT_FLOOR = 256 * sys.float_info.epsilon
+# Floor of the adjoint stop threshold: just above the round-off of
+# converged sweeps (up to about 1.3 eps at n = 4096 and 65536 on the bump
+# rate), so a tolerance takes effect until it reaches round-off.
+_ADJOINT_FLOOR = 4 * sys.float_info.epsilon
 
 
 def _shoot(B: np.ndarray, h: float, lam: float) -> tuple[float, np.ndarray, np.ndarray, float]:
@@ -390,7 +390,8 @@ def solve_adjoint(
     has no half-argument term); ``phi_0 = 2 phi_1 - phi_2``. Each iterate
     is normalized to ``int phi N = 1``, and that pairing also weights the
     convergence test, which stops once the change falls below ``tol * h``
-    or, when that is below round-off, 256 machine epsilons.
+    or, when that is below round-off, 4 machine epsilons. The recurrence
+    is planned once, before the sweeps.
     ``_MAX_SWEEPS`` caps the sweeps. Raises unless
     ``h (b_max + lambda0) < 2``, which keeps the coefficients positive.
     """
@@ -402,7 +403,7 @@ def solve_adjoint(
     Nv = N.values
     n = grid.intervals
     a = 0.5 * h * (lambda0 + B[1:])  # a_j, j = 1..n
-    coef = ((1.0 - a) / (1.0 + a))[::-1]
+    recurrence = linear_recurrence(((1.0 - a) / (1.0 + a))[::-1])
     gain = 2.0 * h * B[2::2] / (1.0 + a[1::2])  # even j
     source = np.zeros(n)
     w = np.append(np.ones(n + 1), 0.0)  # w[k] weights row k; w[0] is unused, w[n + 1] = 0
@@ -410,7 +411,7 @@ def solve_adjoint(
     threshold = max(tol * h, _ADJOINT_FLOOR)
     for _ in range(_MAX_SWEEPS):
         source[1::2] = gain * (w[1 : n // 2 + 1] + w[2 : n // 2 + 2])
-        w[n:0:-1] = linear_recurrence(coef, source[::-1])
+        w[n:0:-1] = recurrence(source[::-1])
         new = 0.5 * (w[:-1] + w[1:])
         new[0] = 2.0 * new[1] - new[2]
         c = trapezoid(new * Nv, grid)

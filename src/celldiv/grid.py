@@ -18,10 +18,11 @@ interpolation order. Derivatives are centered differences with one-sided
 second-order stencils at the two boundary nodes. Norms and derivatives
 take plain node arrays. The adjoint sweeps solve a first-order linear
 recurrence with one coefficient per step, the implicit marchers of the
-toy and inverse problems one with a constant coefficient;
-:func:`product_window` sizes the windows of the running products, the
-rows of the constant-coefficient closed form and the windows of the
-direct march's integrating factor.
+toy and inverse problems one with a constant coefficient. Both are plans:
+built once from their coefficients, they solve any number of sources,
+chaining their windows or rows in order. :func:`product_window` sizes the
+windows of the running products, the rows of the constant-coefficient
+closed form and the windows of the direct march's integrating factor.
 """
 
 from __future__ import annotations
@@ -147,7 +148,6 @@ def double_sample_values(values: np.ndarray) -> np.ndarray:
 # The marchers solve their lowest nodes, up to this one at most, one at a
 # time: the dyadic blocks there are too short for vector passes to pay.
 SCALAR_NODES = 64
-_TINY = float(np.finfo(float).tiny)  # smallest normal double
 # Largest factor by which a running product of coefficients may leave 1:
 # far inside the double range, so the scaled sources s_k / P_k stay finite.
 PRODUCT_LIMIT = 1e100
@@ -161,29 +161,34 @@ def product_window(c: np.ndarray) -> int:
     return max(1, int(np.log(PRODUCT_LIMIT) / spread)) if spread > 0.0 else c.size
 
 
-def linear_recurrence(c: np.ndarray, s: np.ndarray, x0: float = 0.0) -> np.ndarray:
-    """All of ``x_k = c_k x_{k-1} + s_k`` with ``x_{-1} = x0``, for one
-    positive coefficient ``c_k`` per step (a constant one is
-    :func:`constant_recurrence`'s).
+def linear_recurrence(c: np.ndarray):
+    """Solver ``(s, x0) -> x`` of ``x_k = c_k x_{k-1} + s_k``, ``x_{-1} = x0``,
+    for one positive coefficient ``c_k`` per step (a constant one is
+    :func:`constant_recurrence`'s), one step per coefficient.
 
-    The closed form ``x = P (x0 + cumsum(s / P))`` with the running product
-    ``P = cumprod(c)`` takes a few vector passes per window of
-    :func:`product_window` steps; each window starts a fresh product from
-    the last value of the one before.
+    The running products ``P = cumprod(c)`` are formed here, once for
+    every call of the solver, in windows of :func:`product_window` steps.
+    A call takes the closed form ``x = P (x0 + cumsum(s / P))`` over each
+    window in order, in a few vector passes; each window starts from the
+    last value of the one before.
     """
-    x = np.array(s, dtype=float)
     c = np.asarray(c, dtype=float)
     window = product_window(c)
-    prev = float(x0)
-    for k in range(0, x.size, window):
-        P = np.multiply.accumulate(c[k : k + window])
-        seg = x[k : k + window]
-        seg[0] += c[k] * prev
-        seg /= P
-        np.add.accumulate(seg, out=seg)
-        seg *= P
-        prev = seg[-1]
-    return x
+    products = np.empty_like(c)
+    for k in range(0, c.size, window):
+        np.multiply.accumulate(c[k : k + window], out=products[k : k + window])
+
+    def solve(s: np.ndarray, x0: float = 0.0) -> np.ndarray:
+        x = np.array(s, dtype=float)
+        for k in range(0, x.size, window):
+            seg = x[k : k + window]
+            seg[0] += c[k] * (x[k - 1] if k else x0)
+            seg /= products[k : k + window]
+            np.add.accumulate(seg, out=seg)
+            seg *= products[k : k + window]
+        return x
+
+    return solve
 
 
 def constant_recurrence(c: float, size: int):
@@ -195,11 +200,10 @@ def constant_recurrence(c: float, size: int):
     :func:`product_window`, so that ``c**-k`` stays below
     ``PRODUCT_LIMIT`` within a row. Every row is the closed form
     ``x_k = c**k (c x_prev + cumsum(s_j c**-j))`` from the last value
-    ``x_prev`` of the row before; one accumulate serves all rows. The row
-    ends are chained by recursive doubling on ``c**W``, which is below
-    ``1 / (c PRODUCT_LIMIT)``: at most three passes reach the smallest
-    normal double, where the chain stops (later terms would be subnormal
-    and slow).
+    ``x_prev`` of the row before; one accumulate serves all rows. The
+    values before each row are then chained in order, one scalar step
+    per row: ``start[r+1] = c**W start[r] + c**(W-1) t[r, -1]``, with
+    ``t`` the row's scaled prefix sums.
     """
     width = product_window(np.array([c])) if c > 0.0 else 1  # c = 0: x_k = s_k
     width = min(width, max(size, 1))
@@ -219,27 +223,14 @@ def constant_recurrence(c: float, size: int):
         t.reshape(-1)[:steps] = s
         t *= inverse
         np.add.accumulate(t, axis=1, out=t)
-        starts = np.full(rows, float(x0))  # x before each row
-        _doubling(powers[width], t[:-1, -1] * powers[width - 1], starts[1:], x0)
-        t += c * starts[:, None]
+        starts = [float(x0)]  # x before each row
+        for end in (t[:-1, -1] * powers[width - 1]).tolist():
+            starts.append(powers[width] * starts[-1] + end)
+        t += c * np.array(starts)[:, None]
         t *= powers[:width]
         return t.reshape(-1)[:steps]
 
     return solve
-
-
-def _doubling(p: float, s: np.ndarray, out: np.ndarray, x0: float) -> None:
-    """``out[k] = p out[k-1] + s[k]`` with ``out[-1] = x0``, by recursive
-    doubling: after the pass at distance ``d`` every entry sums the last
-    ``2 d`` sources weighted by ``p**d``; it stops once ``p**d`` drops
-    below the smallest normal double."""
-    out[:] = s
-    out[0] += p * x0
-    d = 1
-    while d < out.size and p >= _TINY:
-        out[d:] += p * out[:-d]
-        p *= p
-        d *= 2
 
 
 CSV_HEADER = "x,value"

@@ -135,7 +135,7 @@ def _block_march(B, h, lam):
         D = np.zeros(m - lo + 1)  # B(2x) v(2x) at nodes lo..m, zero past L
         D[: dbl.size] = dbl
         S = coef[lo:m] * (D[1:] + D[:-1])
-        v[lo:m] = linear_recurrence(A[lo:m][::-1], S[::-1], v[m])[::-1]
+        v[lo:m] = linear_recurrence(A[lo:m][::-1])(S[::-1], v[m])[::-1]
         peak = max(peak, float(np.abs(v[lo:m]).max()))
         if peak > limit:
             v[lo:] /= peak
@@ -445,6 +445,42 @@ def test_adjoint_converges_in_64_sweeps_at_n4096(name, monkeypatch):
     pair = solve_direct(rate)
     phi = solve_adjoint(rate, pair.lambda0, pair.N)
     assert phi.values.min() > 0.0
+
+
+def test_adjoint_tolerances_1e_11_and_1e_12_give_different_profiles():
+    # At n = 4096, tol * h is 2.9e-14 at tol 1e-11 and 2.9e-15 at 1e-12:
+    # a stop floor above both, such as 256 eps, would make them identical.
+    rate = piecewise_rate(make_grid(12.0, 4096), [0.0, 3.0], [1.0, 2.0])
+    pair = solve_direct(rate)
+    loose = solve_adjoint(rate, pair.lambda0, pair.N, tol=1e-11).values
+    tight = solve_adjoint(rate, pair.lambda0, pair.N, tol=1e-12).values
+    assert 0.0 < np.max(np.abs(loose - tight)) <= 1e-10
+
+
+@pytest.mark.parametrize("name", ACCEPTANCE_RATES)
+@pytest.mark.parametrize("n", [1024, 4096, 65536])
+def test_adjoint_converges_at_the_round_off_floor(name, n):
+    # tol 1e-14 puts tol * h below 4 eps on every grid, so the floor stops these
+    grid = make_grid(12.0, n)
+    rate = ACCEPTANCE_RATES[name](grid)
+    pair = solve_direct(rate)
+    phi = solve_adjoint(rate, pair.lambda0, pair.N, tol=1e-14).values
+    assert phi[:-1].min() > 0.0
+    assert trapezoid(phi * pair.N.values, grid) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_adjoint_plans_its_recurrence_once_per_solve(monkeypatch):
+    calls = []
+
+    def counted(c):
+        calls.append(c.size)
+        return linear_recurrence(c)
+
+    monkeypatch.setattr(celldiv.direct, "linear_recurrence", counted)
+    rate = bump_rate(make_grid(12.0, 1024), 1.0, 0.4, 2.0, 1.5)
+    pair = solve_direct(rate)
+    solve_adjoint(rate, pair.lambda0, pair.N)
+    assert calls == [1024]
 
 
 def test_adjoint_refinement_ladder():

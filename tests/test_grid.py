@@ -324,7 +324,7 @@ def _row_sizes(c):
     ("size", "c"),
     [(size, c) for size in (1, 2, 3, 1000) for c in (0.0, 0.5, 0.99993, "per-step")]
     # rows of 332 steps for 0.5, whose row-end carry 0.5**332 is about
-    # 1e-100: its doubling stops before the subnormals and loses nothing
+    # 1e-100: chained in order, each row start adds 1e-100 of the one before
     + [(1024, 0.5), (65536, 0.5)]
     # the product of 1200 growing steps, about 1e355, overflows; sources
     # scaled by 1e-200 keep the loop finite (4096 such steps exceed any scaling)
@@ -336,19 +336,18 @@ def test_linear_recurrence_matches_loop(c, size, rng):
     scale = 1e-200 if c == "growing" else 1.0
     s = scale * rng.standard_normal(size)
     coef = PER_STEP[c](rng, size) if c in PER_STEP else c
-    x0 = -0.75 * scale
-    expected = np.empty(size)
-    prev = x0
-    for k in range(0, size, 65536):  # step by step over plain floats, in chunks
-        chunk = []
-        steps = coef[k : k + 65536].tolist() if c in PER_STEP else itertools.repeat(c)
-        for a, b in zip(steps, s[k : k + 65536].tolist()):
-            prev = a * prev + b
-            chunk.append(prev)
-        expected[k : k + len(chunk)] = chunk
-    assert np.all(np.isfinite(expected))
-    if c in PER_STEP:
-        got = linear_recurrence(coef, s, x0)
-    else:
-        got = constant_recurrence(c, size)(s, x0)
-    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+    solve = linear_recurrence(coef) if c in PER_STEP else constant_recurrence(c, size)
+    # two sources through one solver: a call must leave the solver as it found it
+    for s, x0 in [(s, -0.75 * scale), (scale * rng.standard_normal(size), 0.5 * scale)]:
+        expected = np.empty(size)
+        prev = x0
+        for k in range(0, size, 65536):  # step by step over plain floats, in chunks
+            chunk = []
+            steps = coef[k : k + 65536].tolist() if c in PER_STEP else itertools.repeat(c)
+            for a, b in zip(steps, s[k : k + 65536].tolist()):
+                prev = a * prev + b
+                chunk.append(prev)
+            expected[k : k + len(chunk)] = chunk
+        assert np.all(np.isfinite(expected))
+        got = solve(s, x0)
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
