@@ -13,14 +13,16 @@ accurate). With lambda fixed, the collocation is marched from right to
 left: after one integrating factor per march, every dyadic block of nodes
 reads its doubled arguments from nodes already solved and is one prefix
 sum; the lowest nodes are marched one at a time. lambda0 is the root of
-the shooting residual N_lambda(0) = 0. The root search's marches form only
-the residual, N is formed once, at the root, and the direct solve is O(n)
-per root iteration. The adjoint has no discretization of its own: phi is
-the left null vector of the same collocation rows, found by at most a few
-dozen right-to-left recurrence sweeps, each O(n), that lag the
-half-argument term. So the discrete solvability condition int phi dR = 0
-holds to round-off, and phi has an outflow layer 1 - e^{-(lambda0+B)(L-x)}
-at the truncation boundary, where the half-line adjoint would stay flat.
+the shooting residual N_lambda(0) = 0, found by Anderson-Bjorck false
+position. The root search's marches form only the residual; N is formed
+once, from the bracket end of positive residual, so it starts
+nonnegative, and the direct solve is O(n) per root iteration. The adjoint
+has no discretization of its own: phi is the left null vector of the same
+collocation rows, found by at most a few dozen right-to-left recurrence
+sweeps, each O(n), that lag the half-argument term. So the discrete
+solvability condition int phi dR = 0 holds to round-off, and phi has an
+outflow layer 1 - e^{-(lambda0+B)(L-x)} at the truncation boundary, where
+the half-line adjoint would stay flat.
 
 For constant B = b there is a closed-form Dirichlet series solution which
 serves as an independent oracle for everything else in this module.
@@ -28,7 +30,6 @@ serves as an independent oracle for everything else in this module.
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass, field, replace
 
@@ -157,8 +158,9 @@ class EigenPair:
     iterations: int
 
 
-# Floor of Brent's stop width, times h: 1 + h/2 (B + lam) keeps lam only to
-# about 2 eps / h, below which the shooting residual is a staircase in lam.
+# Floor of the root search's bracket width, times h: 1 + h/2 (B + lam) keeps
+# lam only to about 2 eps / h, below which the shooting residual is a
+# staircase in lam.
 _ROOT_FLOOR = 4 * sys.float_info.epsilon
 # The discrete growth rate may leave the continuous bounds [b_min, b_max]
 # by the discretization error; the bracket is widened by this fraction.
@@ -253,12 +255,13 @@ def solve_direct(rate: RateBounds, tol: float = 1e-9) -> EigenPair:
     """Stable size distribution and growth rate by dyadic shooting.
 
     ``lambda0`` is the root of the shooting residual of :func:`_shoot`,
-    found by Brent's method on a bracket that shrinks to ``tol * h`` or,
-    where the march cannot resolve that, ``4 eps / h``; each march forms
-    only the residual and the pieces of its profile. ``N`` is formed once,
-    from the march at the root, and normalized to unit mass. The bracket
-    is the rate bounds, widened slightly; when both of its ends have one
-    sign, it is the first sign-changing step of a ``_BRACKET_WALK``-point
+    found by Anderson-Bjorck false position on a bracket that shrinks to
+    ``tol * h`` or, where the march cannot resolve that, ``4 eps / h``; each
+    march forms only the residual and the pieces of its profile. ``N`` is
+    formed once, from the march at the bracket end of positive residual,
+    whose profile starts nonnegative, and normalized to unit mass. The
+    bracket is the rate bounds, widened slightly; when both of its ends have
+    one sign, it is the first sign-changing step of a ``_BRACKET_WALK``-point
     walk down from its top. ``iterations`` counts marches.
     Raises if ``_MAX_MARCHES`` marches do not suffice, if neither holds a
     sign change, or if the profile changes sign (a non-Perron root). The
@@ -290,7 +293,8 @@ def solve_direct(rate: RateBounds, tol: float = 1e-9) -> EigenPair:
     lo, hi = residual(lam_lo), residual(lam_hi)
     if lo[1] * hi[1] > 0.0:
         # The bracket holds no root or two; the Perron root is the largest,
-        # so Brent runs on the first sub-bracket below lam_hi that changes sign.
+        # so the root search runs on the first sub-bracket below lam_hi that
+        # changes sign.
         above = hi
         for lam in np.linspace(lam_hi, lam_lo, _BRACKET_WALK + 2)[1:-1].tolist():
             below = residual(lam)
@@ -305,7 +309,7 @@ def solve_direct(rate: RateBounds, tol: float = 1e-9) -> EigenPair:
             f"{grid.length * rate.b_min:.3g}; a small L b_min loses mass past L, "
             "so a longer --grid-length may help"
         )
-    lam, _, pieces = _brent(residual, lo, hi, max(tol * h, _ROOT_FLOOR / h))
+    lam, _, pieces = _false_position(residual, lo, hi, max(tol * h, _ROOT_FLOOR / h))
     v = _profile(*pieces)
 
     if v[1:].min() < -_SIGN_TOLERANCE:
@@ -316,46 +320,33 @@ def solve_direct(rate: RateBounds, tol: float = 1e-9) -> EigenPair:
     return EigenPair(lam, GridFunction(grid, v), None, marches)
 
 
-def _brent(f, a, b, xtol: float):
-    """Brent's safeguarded root finder (zeroin) on a sign-changing bracket.
+def _false_position(f, a, b, xtol: float):
+    """Anderson-Bjorck false position on a sign-changing bracket.
 
-    Points are tuples ``(x, f(x), payload)`` as returned by ``f``. Returns
-    the point of smaller residual once the bracket around the root is at
-    most ``xtol`` (plus a few ulps of the root) wide, or once the residual
-    vanishes exactly.
+    Points are tuples ``(x, f(x), payload)`` as returned by ``f``. Each step
+    marches the secant point of the two bracket ends, kept at least ``tol1``
+    inside them. An end kept twice in a row has its residual scaled by
+    ``1 - f(new) / f(last)``, or by 1/2 when that is not positive; on entry
+    ``b`` counts as the last point and ``a`` as kept once. Returns the end
+    of nonnegative residual once the bracket is at most ``xtol`` (plus a
+    few ulps of the root) wide, or a point whose residual vanishes exactly.
     """
     eps = sys.float_info.epsilon
-    c = a
-    d = e = b[0] - a[0]
+    fa = a[1]  # scaled while a is kept
     while True:
-        if abs(c[1]) < abs(b[1]):
-            a, b, c = b, c, b
         tol1 = 2.0 * eps * abs(b[0]) + 0.5 * xtol
-        xm = 0.5 * (c[0] - b[0])
-        if abs(xm) <= tol1 or b[1] == 0.0:
-            return b
-        if abs(e) >= tol1 and abs(a[1]) > abs(b[1]):
-            s = b[1] / a[1]
-            if a[0] == c[0]:  # secant
-                p, q = 2.0 * xm * s, 1.0 - s
-            else:  # inverse quadratic interpolation
-                q, r = a[1] / c[1], b[1] / c[1]
-                p = s * (2.0 * xm * q * (q - r) - (b[0] - a[0]) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            p = abs(p)
-            if 2.0 * p < min(3.0 * xm * q - abs(tol1 * q), abs(e * q)):
-                e, d = d, p / q
-            else:
-                d = e = xm
+        if abs(b[0] - a[0]) <= 2.0 * tol1:
+            return a if a[1] >= 0.0 else b
+        x = b[0] - b[1] * (b[0] - a[0]) / (b[1] - fa)
+        c = f(min(max(x, min(a[0], b[0]) + tol1), max(a[0], b[0]) - tol1))
+        if c[1] == 0.0:
+            return c
+        if (c[1] > 0.0) != (b[1] > 0.0):
+            a, fa = b, b[1]
         else:
-            d = e = xm
-        a = b
-        b = f(b[0] + (d if abs(d) > tol1 else math.copysign(tol1, xm)))
-        if (b[1] > 0.0) == (c[1] > 0.0):
-            c = a
-            d = e = b[0] - a[0]
+            m = 1.0 - c[1] / b[1]
+            fa *= m if m > 0.0 else 0.5
+        b = c
 
 
 def direct_residual(N: GridFunction, rate: RateBounds, lambda0: float) -> float:

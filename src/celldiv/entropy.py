@@ -254,8 +254,6 @@ def _split_cell(xi, h, u_ends, u2_ends, coef_ends, pr_ends):
 
     lhs = rhs = 0.0
     for t0, t1 in zip(points[:-1], points[1:]):
-        if t1 <= t0:
-            continue
         tm = 0.5 * (t0 + t1)
         samples = [fields(t0), fields(tm), fields(t1)]
         branch = float(samples[1][0] > xi)  # probe slope, constant on the piece

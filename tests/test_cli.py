@@ -164,6 +164,27 @@ def test_toy_x2_reference_divides_by_the_weight(tmp_path, weight):
     assert all(ln.endswith(",1") for ln in out.read_text().splitlines()[1:])
 
 
+def test_toy_tables_match_the_x2_defaults(tmp_path):
+    # --v table:<file> and --lambda table:<file> carry the x2 data and a unit
+    # weight on the default grid, so they give the rows of --v x2
+    grid = make_grid(1.0, 4096)
+    data, weight = tmp_path / "v.csv", tmp_path / "w.csv"
+    write_csv(GridFunction(grid, grid.nodes ** 2), data)
+    write_csv(GridFunction(grid, np.ones(grid.intervals + 1)), weight)
+    tables, x2 = tmp_path / "tables.csv", tmp_path / "x2.csv"
+    assert main(["toy", "--v", f"table:{data}", "--lambda", f"table:{weight}", "--E", "2.0",
+                 "--output", str(tables)]) == 0
+    assert main(["toy", "--v", "x2", "--E", "2.0", "--output", str(x2)]) == 0
+    got, want = (np.loadtxt(p, delimiter=",", skiprows=1) for p in (tables, x2))
+    assert got.shape == want.shape == (25, 6)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+    coarse = make_grid(1.0, 2048)
+    write_csv(GridFunction(coarse, np.ones(coarse.intervals + 1)), weight)
+    with pytest.raises(ValueError, match="weight and data live on different grids"):
+        main(["toy", "--v", f"table:{data}", "--lambda", f"table:{weight}",
+              "--output", str(tmp_path / "bad.csv")])
+
+
 def test_invert_subcommand(tmp_path):
     profile = tmp_path / "N.csv"
     main(
@@ -362,6 +383,17 @@ def test_sweep_slope_gate_failure(tmp_path):
     )
     code = main(["sweep", "--config", str(cfg), "--out.dir", str(tmp_path / "o")])
     assert code == 2
+
+
+def test_sweep_exits_2_on_failed_synthesis_invariants(tmp_path, capsys):
+    # B = 5 at n = 256 is too coarse for the invariant tolerance: f2 reads
+    # 0.200651 against 0.2; the table is still written in full
+    out_dir = tmp_path / "o"
+    code = main(["sweep", "--bspec", "constant:5.0", "--grid.n", "256", "--epsilons", "1e-2,1e-3",
+                 "--seeds", "2", "--out.dir", str(out_dir)])
+    assert code == 2
+    assert "synthesis invariants failed" in capsys.readouterr().err
+    assert len((out_dir / "sweep.csv").read_text().splitlines()) == 5  # header + 2 levels x 2 seeds
 
 
 def test_sweep_rejects_unknown_key(tmp_path):

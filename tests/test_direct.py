@@ -725,9 +725,29 @@ def test_shooting_residual_noise_floor(name, n):
 @pytest.mark.parametrize("name", ACCEPTANCE_RATES)
 @pytest.mark.parametrize("n", [32768, 65536])
 def test_direct_solve_takes_at_most_8_marches_at_fine_grids(name, n):
-    # Brent must not step across the round-off plateaus of the residual
+    # The root search must not step across the round-off plateaus of the residual
     pair = solve_direct(ACCEPTANCE_RATES[name](make_grid(12.0, n)))
     assert pair.iterations <= 8
+
+
+@pytest.mark.parametrize("name", ACCEPTANCE_RATES)
+@pytest.mark.parametrize("n", [1024, 4096, 16384])
+@pytest.mark.parametrize("tol", [1e-2, 1e-3, 1e-4, 1e-5])
+def test_loose_tolerance_keeps_the_perron_root(name, n, tol):
+    # A loose bracket has a negative-residual end whose profile dips below
+    # zero near x = 0; the solve keeps the other end and must not raise.
+    grid = make_grid(12.0, n)
+    rate = ACCEPTANCE_RATES[name](grid)
+    pair = solve_direct(rate, tol=tol)
+    assert pair.N.values.min() >= 0.0
+    root = solve_direct(rate).lambda0
+    h, eps = grid.spacing, np.finfo(float).eps
+
+    def width(t):  # a stopping bracket's width: max(t h, 4 eps / h) plus a few ulps
+        return max(t * h, 4.0 * eps / h) + 4.0 * eps * root
+
+    # both solves stop on a bracket around the same discrete root
+    assert abs(pair.lambda0 - root) <= width(tol) + width(1e-9)
 
 
 def test_random_piecewise_rates_solve_or_fail_by_name():

@@ -241,8 +241,9 @@ def test_perturbations_reject_a_zero_direction_when_called(small_grid, small_bas
 
 def test_perturbed_growth_rates_are_python_floats():
     # The directions of `celldiv gap --bspec constant:1.0 --grid-n 4096
-    # --directions 8 --amplitude 0.05 --seed 3`: in five of them Brent's
-    # last step is its minimum step, which must not make lambda0 a numpy scalar.
+    # --directions 8 --amplitude 0.05 --seed 3`: in all eight the root
+    # search's last step is clamped to its minimum step, which must not make
+    # lambda0 a numpy scalar.
     grid = make_grid(12.0, 4096)
     rate = constant_rate(grid, 1.0)
     base = solve_direct(rate)
