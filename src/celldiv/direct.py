@@ -18,11 +18,14 @@ position. The root search's marches form only the residual; N is formed
 once, from the bracket end of positive residual, so it starts
 nonnegative, and the direct solve is O(n) per root iteration. The adjoint
 has no discretization of its own: phi is the left null vector of the same
-collocation rows, found by at most a few dozen right-to-left recurrence
-sweeps, each O(n), that lag the half-argument term. So the discrete
-solvability condition int phi dR = 0 holds to round-off, and phi has an
-outflow layer 1 - e^{-(lambda0+B)(L-x)} at the truncation boundary, where
-the half-line adjoint would stay flat.
+collocation rows, found in one direct solve. On each dyadic level of
+columns the row weights are an exact linear function of the levels' first
+weights, log2(n) unknowns in all, by one right-to-left recurrence per
+level; the levels' first columns then give a small system whose null
+vector fixes them, so the solve is O(n log n) and has no iteration count.
+So the discrete solvability condition int phi dR = 0 holds to round-off,
+and phi has an outflow layer 1 - e^{-(lambda0+B)(L-x)} at the truncation
+boundary, where the half-line adjoint would stay flat.
 
 For constant B = b there is a closed-form Dirichlet series solution which
 serves as an independent oracle for everything else in this module.
@@ -171,15 +174,9 @@ _SIGN_TOLERANCE = 1e-10
 # Interior points of the walk down from lam_hi that looks for a sign change
 # when both ends of the bracket have one sign.
 _BRACKET_WALK = 32
-# Caps on the root search's marches and on the adjoint's sweeps. The
-# acceptance rates take at most 8 marches up to n = 65536, and at most 36
-# sweeps at the default tol (44 at tol 1e-12 and below).
+# Cap on the root search's marches. The acceptance rates take at most 8
+# marches up to n = 65536.
 _MAX_MARCHES = 200
-_MAX_SWEEPS = 200
-# Floor of the adjoint stop threshold: just above the round-off of
-# converged sweeps (up to about 1.3 eps at n = 4096 and 65536 on the bump
-# rate), so a tolerance takes effect until it reaches round-off.
-_ADJOINT_FLOOR = 4 * sys.float_info.epsilon
 
 
 def _shoot(B: np.ndarray, h: float, lam: float) -> tuple[float, np.ndarray, np.ndarray, float]:
@@ -360,65 +357,58 @@ def direct_residual(N: GridFunction, rate: RateBounds, lambda0: float) -> float:
     return norm(r, N.grid)
 
 
-def solve_adjoint(
-    rate: RateBounds,
-    lambda0: float,
-    N: GridFunction,
-    tol: float = 1e-9,
-) -> GridFunction:
-    """Adjoint profile: the left null vector of :func:`_shoot`'s rows, by sweeps.
+def solve_adjoint(rate: RateBounds, lambda0: float, N: GridFunction) -> GridFunction:
+    """Adjoint profile: the left null vector of :func:`_shoot`'s rows, in one solve.
 
     Weight ``w_k`` multiplies the collocation row ``k = 1..n``; with
     ``a = h/2 (lambda0 + B)`` column ``j`` of the transposed rows reads
-    ``(1 + a_j) w_j = (1 - a_j) w_{j+1} + 2 h B_j (w_{j/2} + w_{j/2+1})``,
-    ``w_{n+1} = 0``, the last term for even ``j`` only. Each sweep takes
-    that half-argument term from the previous sweep and solves the rest as
-    one right-to-left linear recurrence with coefficients
-    ``(1 - a_j) / (1 + a_j)``. Nodes take ``phi_j = (w_j + w_{j+1}) / 2``,
+    ``w_j = c_j w_{j+1} + g_j (w_{j/2} + w_{j/2+1})``, ``w_{n+1} = 0``,
+    with ``c = (1 - a) / (1 + a)`` and ``g = 2 h B / (1 + a)`` for even
+    ``j``, 0 for odd ``j``. The columns fall into the dyadic levels
+    ``l = 0..K-1``, ``[2^l, min(2^(l+1) - 1, n)]``, ``K = n.bit_length()``,
+    and the unknowns are the first weights ``e_l = w_{2^l}``. Lowest level
+    first, each level's ``w`` is an exact linear function of ``e``: one
+    right-to-left recurrence whose stacked source reads level ``l - 1`` and
+    the level's own first column, from ``e_{l+1}`` at its right end (0 past
+    ``n``). Each level's recurrence returns its first column as row ``l`` of
+    ``M``; ``M e = e`` makes every column hold, so ``e`` is the last right
+    singular vector of ``M - I``. Nodes take ``phi_j = (w_j + w_{j+1}) / 2``,
     so ``trapezoid(phi r)`` is the row-weighted sum of any node residual
     ``r`` that vanishes at 0 and L, and ``phi`` has an outflow layer that
     falls to ``w_n / 2`` at L, which is 0 for odd ``n`` (column ``n`` then
-    has no half-argument term); ``phi_0 = 2 phi_1 - phi_2``. Each iterate
-    is normalized to ``int phi N = 1``, and that pairing also weights the
-    convergence test, which stops once the change falls below ``tol * h``
-    or, when that is below round-off, 4 machine epsilons. The recurrence
-    is planned once, before the sweeps.
-    ``_MAX_SWEEPS`` caps the sweeps. Raises unless
-    ``h (b_max + lambda0) < 2``, which keeps the coefficients positive.
+    has no half-argument term); ``phi_0 = 2 phi_1 - phi_2``, and
+    ``int phi N = 1``. Raises unless ``h (b_max + lambda0) < 2``, which
+    keeps the coefficients positive, or if ``phi`` changes sign.
     """
     grid = rate.grid
     B = rate.values
     h = grid.spacing
     if 0.5 * h * (rate.b_max + lambda0) >= 1.0:
         raise ValueError("grid too coarse for the adjoint: need h (b_max + lambda0) < 2")
-    Nv = N.values
     n = grid.intervals
-    a = 0.5 * h * (lambda0 + B[1:])  # a_j, j = 1..n
-    recurrence = linear_recurrence(((1.0 - a) / (1.0 + a))[::-1])
-    gain = 2.0 * h * B[2::2] / (1.0 + a[1::2])  # even j
-    source = np.zeros(n)
-    w = np.append(np.ones(n + 1), 0.0)  # w[k] weights row k; w[0] is unused, w[n + 1] = 0
-    phi = np.full(n + 1, 1.0 / trapezoid(Nv, grid))
-    threshold = max(tol * h, _ADJOINT_FLOOR)
-    for _ in range(_MAX_SWEEPS):
-        source[1::2] = gain * (w[1 : n // 2 + 1] + w[2 : n // 2 + 2])
-        w[n:0:-1] = recurrence(source[::-1])
-        new = 0.5 * (w[:-1] + w[1:])
-        new[0] = 2.0 * new[1] - new[2]
-        c = trapezoid(new * Nv, grid)
-        if not np.isfinite(c) or c <= 0.0:
-            raise RuntimeError("adjoint iteration lost positivity of the pairing")
-        new /= c
-        w /= c
-        if new[:-1].min() <= 0.0 or new[-1] < 0.0:
-            raise RuntimeError("adjoint iterate changed sign")
-        diff = trapezoid(np.abs(new - phi) * Nv, grid)
-        phi = new
-        if diff <= threshold:
-            break
-    else:
-        raise RuntimeError(f"adjoint solve did not converge in {_MAX_SWEEPS} iterations")
-    return GridFunction(grid, phi)
+    K = n.bit_length()
+    a = 0.5 * h * (lambda0 + B)
+    c = (1.0 - a) / (1.0 + a)
+    g = np.zeros(n + 1)
+    g[2::2] = 2.0 * h * B[2::2] / (1.0 + a[2::2])
+    W = np.zeros((n + 2, K))  # row j: w_j as a combination of e; row n + 1 is w_{n+1} = 0
+    W[2 ** np.arange(K), np.arange(K)] = 1.0
+    M = np.empty((K, K))
+    for l in range(K):
+        lo, hi = 2**l, min(2 ** (l + 1) - 1, n)
+        reads = W[(lo + 1) // 2 : hi // 2 + 2]  # w_{j/2} and w_{j/2+1} of the level's even j
+        S = np.zeros((hi - lo + 1, K))
+        S[lo % 2 :: 2] = g[lo + lo % 2 : hi + 1 : 2, None] * (reads[:-1] + reads[1:])
+        level = linear_recurrence(c[hi : lo - 1 : -1])(S[::-1], W[hi + 1])[::-1]
+        M[l] = level[0]
+        W[lo + 1 : hi + 1] = level[1:]
+    w = W @ np.linalg.svd(M - np.eye(K))[2][-1]
+    phi = 0.5 * (w[:-1] + w[1:])  # w[0] is unused
+    phi[0] = 2.0 * phi[1] - phi[2]
+    phi /= trapezoid(phi * N.values, grid)
+    if not (phi[:-1].min() > 0.0 and phi[-1] >= 0.0):
+        raise RuntimeError("adjoint null vector changed sign")
+    return GridFunction(grid, np.abs(phi))  # phi(L) = 0 for odd n, never -0.0
 
 
 def adjoint_residual(phi: GridFunction, rate: RateBounds, lambda0: float, N: GridFunction) -> float:
@@ -438,7 +428,7 @@ def adjoint_residual(phi: GridFunction, rate: RateBounds, lambda0: float, N: Gri
 def solve_pair(rate: RateBounds, tol: float = 1e-9) -> EigenPair:
     """Direct solve followed by the adjoint, sharing one eigenvalue."""
     pair = solve_direct(rate, tol=tol)
-    return replace(pair, phi=solve_adjoint(rate, pair.lambda0, pair.N, tol=tol))
+    return replace(pair, phi=solve_adjoint(rate, pair.lambda0, pair.N))
 
 
 def constant_b_series(b: float, grid: Grid) -> GridFunction:

@@ -16,13 +16,14 @@ Two sampling rules recur throughout and are kept consistent on purpose:
 Quadrature is the trapezoid rule, matching the piecewise-linear
 interpolation order. Derivatives are centered differences with one-sided
 second-order stencils at the two boundary nodes. Norms and derivatives
-take plain node arrays. The adjoint sweeps solve a first-order linear
-recurrence with one coefficient per step, the implicit marchers of the
-toy and inverse problems one with a constant coefficient. Both are plans:
-built once from their coefficients, they solve any number of sources,
-chaining their windows or rows in order. :func:`product_window` sizes the
-windows of the running products, the rows of the constant-coefficient
-closed form and the windows of the direct march's integrating factor.
+take plain node arrays. The adjoint's dyadic levels solve a first-order
+linear recurrence with one coefficient per step, on stacked sources, the
+implicit marchers of the toy and inverse problems one with a constant
+coefficient. Both are plans: built once from their coefficients, they
+solve any number of sources, chaining their windows or rows in order.
+:func:`product_window` sizes the windows of the running products, the
+rows of the constant-coefficient closed form and the windows of the
+direct march's integrating factor.
 """
 
 from __future__ import annotations
@@ -170,7 +171,9 @@ def linear_recurrence(c: np.ndarray):
     every call of the solver, in windows of :func:`product_window` steps.
     A call takes the closed form ``x = P (x0 + cumsum(s / P))`` over each
     window in order, in a few vector passes; each window starts from the
-    last value of the one before.
+    last value of the one before. A stacked source of shape ``(steps, k)``
+    with a length-``k`` start value solves ``k`` recurrences at once, one
+    per column, with the same arithmetic as ``k`` one-column calls.
     """
     c = np.asarray(c, dtype=float)
     window = product_window(c)
@@ -180,12 +183,13 @@ def linear_recurrence(c: np.ndarray):
 
     def solve(s: np.ndarray, x0: float = 0.0) -> np.ndarray:
         x = np.array(s, dtype=float)
-        for k in range(0, x.size, window):
+        p = products.reshape((-1,) + (1,) * (x.ndim - 1))  # broadcast over stacked columns
+        for k in range(0, len(x), window):
             seg = x[k : k + window]
             seg[0] += c[k] * (x[k - 1] if k else x0)
-            seg /= products[k : k + window]
+            seg /= p[k : k + window]
             np.add.accumulate(seg, out=seg)
-            seg *= products[k : k + window]
+            seg *= p[k : k + window]
         return x
 
     return solve

@@ -13,6 +13,7 @@ from celldiv.grid import (
     linear_recurrence,
     make_grid,
     norm,
+    product_window,
     read_csv,
     sobolev_norm,
     trapezoid,
@@ -351,3 +352,16 @@ def test_linear_recurrence_matches_loop(c, size, rng):
         assert np.all(np.isfinite(expected))
         got = solve(s, x0)
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("c", PER_STEP)
+def test_linear_recurrence_stacks_columns(c, rng):
+    # 1000 steps span three or more product windows on every coefficient draw
+    coef = PER_STEP[c](rng, 1000)
+    assert product_window(coef) <= 333
+    scale = 1e-200 if c == "growing" else 1.0
+    s = scale * rng.standard_normal((1000, 5))
+    x0 = scale * rng.standard_normal(5)
+    solve = linear_recurrence(coef)
+    columns = np.column_stack([solve(s[:, k], x0[k]) for k in range(5)])
+    assert np.array_equal(solve(s, x0), columns)
