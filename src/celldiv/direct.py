@@ -8,9 +8,12 @@ where B is the size-dependent division rate. The adjoint profile phi solves
 
     phi'(x) - (lambda0 + B(x)) phi(x) = -2 B(x) phi(x/2),   int phi N = 1.
 
-N is the trapezoidal collocation of the stationary equation (second-order
-accurate). With lambda fixed, the collocation is marched from right to
-left: after one integrating factor per march, every dyadic block of nodes
+N is the trapezoidal collocation of the stationary equation: second-order
+accurate for a smooth rate and for jumps on nodes, first order with an
+erratic constant for a jump between nodes, whose doubled-argument read
+B(2x) averages B over a cell of width h, not 2h. With lambda fixed, the
+collocation is marched from right to left: after one integrating factor
+per march, every dyadic block of nodes
 reads its doubled arguments from nodes already solved and is one prefix
 sum; the lowest nodes are marched one at a time. lambda0 is the root of
 the shooting residual N_lambda(0) = 0, found by Anderson-Bjorck false
@@ -107,9 +110,12 @@ def piecewise_rate(grid: Grid, breakpoints, values) -> RateBounds:
     last piece extending to the end of the grid. Nodes are assigned the
     average of the rate over their surrounding cell ``[x - h/2, x + h/2]``;
     a jump sitting exactly on a node therefore gets the half-sum of its
-    one-sided values, which keeps the quadrature identities used by the
-    invariant checks second-order accurate. The bounds are those of the
-    cell averages, so a piece narrower than a cell only enters averaged.
+    one-sided values, and ``lambda0`` and ``N`` converge at second order.
+    A jump between nodes converges at first order only, with a constant
+    that changes erratically with n: the doubled-argument read ``B(2x_k)``
+    takes node ``2k``'s average over a cell of width h, while the cell of
+    node ``k`` maps to one of width 2h. The bounds are those of the cell
+    averages, so a piece narrower than a cell only enters averaged.
     """
     bp = np.asarray(breakpoints, dtype=float)
     vals = np.asarray(values, dtype=float)
@@ -301,10 +307,10 @@ def solve_direct(rate: RateBounds, tol: float = 1e-9) -> EigenPair:
             above = below
     if lo[1] * hi[1] > 0.0:
         raise RuntimeError(
-            f"shooting residual has no sign change on [{lam_lo:.6g}, {lam_hi:.6g}]: "
-            f"residuals {lo[1]:.3g} and {hi[1]:.3g} at its ends, L b_min = "
-            f"{grid.length * rate.b_min:.3g}; a small L b_min loses mass past L, "
-            "so a longer --grid-length may help"
+            f"shooting residual has no sign change on [{lam_lo:.6g}, {lam_hi:.6g}]: residuals "
+            f"{lo[1]:.3g} and {hi[1]:.3g} at its ends, walk step {(lam_hi - lam_lo) / (_BRACKET_WALK + 1):.3g} "
+            f"(two roots closer than one step look like none), L b_min = {grid.length * rate.b_min:.3g}; "
+            "a small L b_min loses mass past L, so a longer --grid-length may help"
         )
     lam, _, pieces = _false_position(residual, lo, hi, max(tol * h, _ROOT_FLOOR / h))
     v = _profile(*pieces)
@@ -399,7 +405,7 @@ def solve_adjoint(rate: RateBounds, lambda0: float, N: GridFunction) -> GridFunc
         reads = W[(lo + 1) // 2 : hi // 2 + 2]  # w_{j/2} and w_{j/2+1} of the level's even j
         S = np.zeros((hi - lo + 1, K))
         S[lo % 2 :: 2] = g[lo + lo % 2 : hi + 1 : 2, None] * (reads[:-1] + reads[1:])
-        level = linear_recurrence(c[hi : lo - 1 : -1])(S[::-1], W[hi + 1])[::-1]
+        level = linear_recurrence(c[hi : lo - 1 : -1], S[::-1], W[hi + 1])[::-1]
         M[l] = level[0]
         W[lo + 1 : hi + 1] = level[1:]
     w = W @ np.linalg.svd(M - np.eye(K))[2][-1]

@@ -17,12 +17,12 @@ Quadrature is the trapezoid rule, matching the piecewise-linear
 interpolation order. Derivatives are centered differences with one-sided
 second-order stencils at the two boundary nodes. Norms and derivatives
 take plain node arrays. The adjoint's dyadic levels solve a first-order
-linear recurrence with one coefficient per step, on stacked sources, the
-implicit marchers of the toy and inverse problems one with a constant
-coefficient. Both are plans: built once from their coefficients, they
-solve any number of sources, chaining their windows or rows in order.
-:func:`product_window` sizes the windows of the running products, the
-rows of the constant-coefficient closed form and the windows of the
+linear recurrence with one coefficient per step, on stacked sources, in
+one pass over its windows; the implicit marchers of the toy and inverse
+problems solve one with a constant coefficient through a plan, whose
+powers are formed once for every source it solves, chaining its rows in
+order. :func:`product_window` sizes the windows of the running products,
+the rows of the constant-coefficient closed form and the windows of the
 direct march's integrating factor.
 """
 
@@ -162,37 +162,29 @@ def product_window(c: np.ndarray) -> int:
     return max(1, int(np.log(PRODUCT_LIMIT) / spread)) if spread > 0.0 else c.size
 
 
-def linear_recurrence(c: np.ndarray):
-    """Solver ``(s, x0) -> x`` of ``x_k = c_k x_{k-1} + s_k``, ``x_{-1} = x0``,
-    for one positive coefficient ``c_k`` per step (a constant one is
+def linear_recurrence(c: np.ndarray, s: np.ndarray, x0: float | np.ndarray = 0.0) -> np.ndarray:
+    """Solution ``x`` of ``x_k = c_k x_{k-1} + s_k``, ``x_{-1} = x0``, for one
+    positive coefficient ``c_k`` per step (a constant one is
     :func:`constant_recurrence`'s), one step per coefficient.
 
-    The running products ``P = cumprod(c)`` are formed here, once for
-    every call of the solver, in windows of :func:`product_window` steps.
-    A call takes the closed form ``x = P (x0 + cumsum(s / P))`` over each
-    window in order, in a few vector passes; each window starts from the
-    last value of the one before. A stacked source of shape ``(steps, k)``
-    with a length-``k`` start value solves ``k`` recurrences at once, one
-    per column, with the same arithmetic as ``k`` one-column calls.
+    One pass over windows of :func:`product_window` steps: each window
+    forms its running products ``P`` of ``c`` and takes the closed form
+    ``x = P (x_prev + cumsum(s / P))`` in a few vector passes, from the
+    last value ``x_prev`` of the window before. A stacked source of shape
+    ``(steps, k)`` with a length-``k`` start value solves ``k`` recurrences
+    at once, one per column, with the same arithmetic as ``k`` one-column
+    calls.
     """
-    c = np.asarray(c, dtype=float)
+    x = np.array(s, dtype=float)
     window = product_window(c)
-    products = np.empty_like(c)
     for k in range(0, c.size, window):
-        np.multiply.accumulate(c[k : k + window], out=products[k : k + window])
-
-    def solve(s: np.ndarray, x0: float = 0.0) -> np.ndarray:
-        x = np.array(s, dtype=float)
-        p = products.reshape((-1,) + (1,) * (x.ndim - 1))  # broadcast over stacked columns
-        for k in range(0, len(x), window):
-            seg = x[k : k + window]
-            seg[0] += c[k] * (x[k - 1] if k else x0)
-            seg /= p[k : k + window]
-            np.add.accumulate(seg, out=seg)
-            seg *= p[k : k + window]
-        return x
-
-    return solve
+        p = np.multiply.accumulate(c[k : k + window]).reshape((-1,) + (1,) * (x.ndim - 1))
+        seg = x[k : k + window]
+        seg[0] += c[k] * (x[k - 1] if k else x0)
+        seg /= p
+        np.add.accumulate(seg, out=seg)
+        seg *= p
+    return x
 
 
 def constant_recurrence(c: float, size: int):

@@ -243,8 +243,6 @@ def _march(F: np.ndarray, alpha: float, h: float) -> np.ndarray:
         p[j] = (r * p[j - 1] + 0.5 * (p[j // 2] + p[(j + 1) // 2]) + f[j]) / denom
     P = np.zeros(n + 1)
     P[: head + 1] = p
-    if head == n:
-        return P
     solve = constant_recurrence(r / denom, n - n // 2)
     lo = head + 1
     while lo <= n:

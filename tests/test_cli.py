@@ -6,6 +6,7 @@ import pytest
 
 import celldiv.direct
 import celldiv.harness
+import celldiv.toy
 from celldiv.cli import _CONFIG_KEYS, _parse_probe, _rate_table, main
 from celldiv.direct import bump_rate, constant_b_series
 from celldiv.entropy import ConvexProbe
@@ -153,6 +154,23 @@ def test_toy_x2_reference_divides_by_the_weight(tmp_path, weight):
                  "--epsilons", "0,1e-4,1e-3", "--output", str(out)])
     assert code == 0
     assert all(ln.endswith(",1") for ln in out.read_text().splitlines()[1:])
+
+
+def test_toy_checks_the_data_curvature_once(tmp_path, monkeypatch):
+    # one ToyProblem per run, so the a-priori bound check differentiates the data once
+    calls = []
+    curvature = celldiv.toy._curvature
+    monkeypatch.setattr(celldiv.toy, "_curvature", lambda f: calls.append(f) or curvature(f))
+    main(["toy", "--grid-n", "256", "--E", "2.0", "--output", str(tmp_path / "toy.csv")])
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("weight", ["const:0", "const:-1"])
+def test_toy_x2_rejects_a_nonpositive_weight_by_name(tmp_path, weight):
+    # the x2 reference 2x / w is formed before the problem checks w
+    with pytest.raises(ValueError, match="^weight must be strictly positive$"):
+        main(["toy", "--grid-n", "256", "--E", "2.0", "--lambda", weight,
+              "--output", str(tmp_path / "toy.csv")])
 
 
 def test_toy_tables_match_the_x2_defaults(tmp_path):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -135,7 +137,7 @@ def _block_march(B, h, lam):
         D = np.zeros(m - lo + 1)  # B(2x) v(2x) at nodes lo..m, zero past L
         D[: dbl.size] = dbl
         S = coef[lo:m] * (D[1:] + D[:-1])
-        v[lo:m] = linear_recurrence(A[lo:m][::-1])(S[::-1], v[m])[::-1]
+        v[lo:m] = linear_recurrence(A[lo:m][::-1], S[::-1], v[m])[::-1]
         peak = max(peak, float(np.abs(v[lo:m]).max()))
         if peak > limit:
             v[lo:] /= peak
@@ -500,6 +502,36 @@ def test_invariant_report_lines(unit_pair, unit_rate):
     assert all("FAIL" not in line for line in lines)
 
 
+BALANCE_RATES = {
+    "constant-1": lambda g: constant_rate(g, 1.0),
+    "step-up": lambda g: piecewise_rate(g, [0.0, 3.0], [1.0, 2.0]),
+    "bump": lambda g: bump_rate(g, 1.0, 0.5, 2.0, 1.5),
+}
+
+
+@pytest.mark.parametrize("name", BALANCE_RATES)
+@pytest.mark.parametrize("n", [1024, 4096, 65536])
+def test_balance_identities_split_the_moment_gaps(name, n):
+    # Summing the collocation rows with weights 1 and x_{k-1/2} gives, for
+    # even n, the gaps of lambda0 = int B N and lambda0 int x N = 1 exactly
+    # as a mesh term (the even-node trapezoid T_2h against T_h) plus a
+    # truncation term in N(L) (Perthame & Zubelli, Inverse Problems 23,
+    # 2007, for the continuous identities). The gaps are 2e-11 to 4e-6.
+    grid = make_grid(12.0, n)
+    rate = BALANCE_RATES[name](grid)
+    pair = solve_direct(rate)
+    lam, N, B, x, h, L = pair.lambda0, pair.N.values, rate.values, grid.nodes, grid.spacing, grid.length
+
+    def mesh(f):  # (T_2h - T_h)(f)
+        return 2.0 * h * (0.5 * f[0] + f[2:-1:2].sum() + 0.5 * f[-1]) - trapezoid(f, grid)
+
+    first = lam - trapezoid(B * N, grid) - 2.0 * mesh(B * N) - (2.0 * h * B[-1] - 1.0) * N[-1]
+    assert abs(first) <= 1e-11
+    truncation = N[-1] * (h * L * B[-1] - L + h * h * (B[-1] + lam) / 4.0)
+    second = lam * trapezoid(x * N, grid) - 1.0 - mesh(x * B * N) - truncation
+    assert abs(second) <= 1e-11
+
+
 @pytest.mark.parametrize("name", ACCEPTANCE_RATES)
 @pytest.mark.parametrize("n", [1024, 4096])
 def test_shooting_matches_power_iteration(name, n):
@@ -753,6 +785,15 @@ def test_random_piecewise_rates_solve_or_fail_by_name():
             pairing = trapezoid(phi.values * pair.N.values, rate.grid)
             assert pairing == pytest.approx(1.0, abs=1e-12)
     assert solved == 152
+
+
+def test_walk_error_names_its_step_on_fuzz_draw_48():
+    # The residual changes sign near 0.059 and 0.129, both inside one step
+    # of the walk, so the walk sees no sign change; the error says how wide
+    # a step is.
+    rate = next(itertools.islice(_fuzz_rates(), 48, None))
+    with pytest.raises(RuntimeError, match=r"^shooting residual has no sign change .* walk step 0\.137 "):
+        solve_direct(rate)
 
 
 def test_adjoint_matches_the_dense_null_vector_on_fuzz_draws():
