@@ -165,10 +165,12 @@ def _cmd_toy(args) -> int:
         weight = read_csv(args.weight.split(":", 1)[1])
     else:
         raise SystemExit(f"unknown weight spec {args.weight!r}")
-    # int_0^x w u = x^2 is solved by u = 2x / w; ToyProblem rejects w <= 0 and a weight on another grid
-    w = weight.values
-    exact = weight.with_values(np.divide(2.0 * weight.grid.nodes, w, out=np.zeros_like(w), where=w > 0.0))
-    problem = toy.ToyProblem(weight, data, apriori=args.E, u_true=exact if args.v == "x2" else None)
+    exact = None
+    if args.v == "x2":
+        # int_0^x w u = x^2 is solved by u = 2x / w; ToyProblem rejects w <= 0 and a weight on another grid
+        w = weight.values
+        exact = weight.with_values(np.divide(2.0 * weight.grid.nodes, w, out=np.zeros_like(w), where=w > 0.0))
+    problem = toy.ToyProblem(weight, data, apriori=args.E, u_true=exact)
     report = toy.toy_study(problem, args.seeds, _floats(args.epsilons))
     lines = ["epsilon,seed,alpha,error,bound,pass"]
     for r in report.rows:

@@ -29,7 +29,7 @@ from .inverse import (
     rate_error_on_support,
     weighted_product_error,
 )
-from .noise import UnitNoise, perturbed, unit_noise
+from .noise import UnitNoise, levels, perturbed, unit_noise
 
 __all__ = [
     "ExperimentConfig",
@@ -52,7 +52,7 @@ FILTER_MULTIPLE = 3.0
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Sweep configuration; epsilons sorted descending, seeds at least one."""
+    """Sweep configuration; distinct epsilons, noisiest first, and at least one seed."""
 
     bspec: str
     grid_length: float
@@ -68,10 +68,7 @@ class ExperimentConfig:
     slope_max: float | None = None
 
     def __post_init__(self) -> None:
-        eps = tuple(float(e) for e in self.epsilons)
-        if not all(0.0 <= e < np.inf for e in eps):
-            raise ValueError("noise levels must be nonnegative and finite")
-        object.__setattr__(self, "epsilons", tuple(sorted(eps, reverse=True)))
+        object.__setattr__(self, "epsilons", levels(self.epsilons))
         if self.seeds < 1:
             raise ValueError("need at least one seed")
         if self.alpha_rule not in ("sqrt", "fixed"):

@@ -5,7 +5,8 @@ clean and perturbed functions equals the requested level exactly. That
 makes noise-level sweeps sharp: the injected level is the achieved level,
 not an upper bound. A seed fixes the noise direction, so a study draws
 each seed once with :func:`unit_noise` and scales that draw to every
-level.
+level. :func:`levels` states once which noise levels a study accepts and
+in which order it runs them.
 """
 
 from __future__ import annotations
@@ -40,3 +41,11 @@ def perturbed(f: GridFunction, level: float, noise: UnitNoise) -> GridFunction:
     if level == 0.0:
         return f
     return f.with_values(f.values + (level / noise.z_norm) * noise.z)
+
+
+def levels(epsilons) -> tuple[float, ...]:
+    """The distinct noise levels of ``epsilons``, noisiest first."""
+    eps = {float(e) for e in epsilons}
+    if not all(0.0 <= e < np.inf for e in eps):
+        raise ValueError("noise levels must be nonnegative and finite")
+    return tuple(sorted(eps, reverse=True))

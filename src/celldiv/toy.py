@@ -8,28 +8,29 @@ ill posed. The stabilized problem adds a small first-order term,
 and is solved by implicit backward marching so that any ratio of alpha to
 the mesh width is stable. The data enters only through difference
 quotients; noisy observations are never differentiated with a finer
-stencil than the grid. Balancing the consistency error (alpha times the
-data curvature bound E) against the amplified noise (epsilon / alpha)
-gives the parameter rule alpha = sqrt(epsilon / E) and a total error of
-at most 2 sqrt(epsilon E).
+stencil than the grid. The error is bounded by the consistency error
+(alpha times the data curvature bound E) plus the amplified noise
+(epsilon / alpha). Balancing the two gives the parameter rule
+alpha = sqrt(epsilon / E), at which the bound alpha E + epsilon / alpha
+is 2 sqrt(epsilon E). The scheme adds a mesh floor 2 h E on a grid of
+width h, so a study passes a row when its error is at most
+1.1 (alpha E + epsilon / alpha) + 2 h E, with or without noise.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fitting import fit_loglog_slope
 from .grid import GridFunction, constant_recurrence, derivative, norm
-from .noise import perturbed, unit_noise
+from .noise import levels, perturbed, unit_noise
 
 __all__ = [
     "ToyProblem",
     "ToyStudyRow",
     "ToyStudyReport",
-    "NoiseFloorWarning",
     "ALPHA_FLOOR",
     "toy_solve",
     "optimal_alpha",
@@ -39,10 +40,6 @@ __all__ = [
 # Returned instead of zero when the noise level vanishes; the limit
 # alpha -> 0 is the unregularized (ill-posed) problem.
 ALPHA_FLOOR = 1e-8
-
-
-class NoiseFloorWarning(UserWarning):
-    """Raised-as-warning flag: noise level zero, smallest positive alpha used."""
 
 
 def _curvature(f: GridFunction) -> float:
@@ -94,9 +91,6 @@ class ToyProblem:
         tol = max(1e-8, 20.0 * self.data.grid.spacing ** 2)
         return abs(slope[0]) <= tol * scale
 
-    def curvature_bound(self) -> float:
-        return self.apriori if self.apriori is not None else _curvature(self.data)
-
     def reference(self) -> GridFunction:
         if self.u_true is not None:
             return self.u_true
@@ -124,16 +118,14 @@ def toy_solve(problem: ToyProblem, alpha: float, data: GridFunction | None = Non
 def optimal_alpha(epsilon: float, bound: float) -> float:
     """Minimizer sqrt(epsilon / bound) of alpha -> alpha bound + epsilon / alpha.
 
-    A zero noise level would give alpha = 0, which is rejected: the
-    smallest supported positive value is returned and flagged through
-    :class:`NoiseFloorWarning`.
+    A zero noise level would give alpha = 0, the unregularized problem:
+    :data:`ALPHA_FLOOR` is returned instead.
     """
     if not 0.0 < bound < np.inf:
         raise ValueError("a-priori bound must be positive and finite")
     if epsilon < 0.0:
         raise ValueError("noise level must be nonnegative")
     if epsilon == 0.0:
-        warnings.warn("zero noise level, returning the smallest positive alpha", NoiseFloorWarning)
         return ALPHA_FLOOR
     return float(np.sqrt(epsilon / bound))
 
@@ -158,43 +150,34 @@ class ToyStudyReport:
 def toy_study(problem: ToyProblem, seeds: int, epsilons) -> ToyStudyReport:
     """Noise sweep with the balanced parameter rule.
 
-    For every noise level the data is perturbed to exact L2 distance
-    epsilon, solved with alpha = sqrt(epsilon / E), and the recovery error
-    is measured in the weight-squared norm against the reference solution.
-    Rows pass when the error stays within 10% of the predicted bound
-    2 sqrt(epsilon E); noise-free rows are judged against the consistency
-    bound alpha E plus the scheme floor instead. The fitted slope of log
-    error against log epsilon is attached when at least two noisy levels
-    are present.
+    For every distinct noise level, noisiest first, the data is perturbed
+    to exact L2 distance epsilon, solved with alpha = optimal_alpha(epsilon,
+    E), and the recovery error is measured in the weight-squared norm
+    against the reference solution. Every row reports the bound
+    alpha E + epsilon / alpha and passes when its error is at most
+    1.1 times that bound plus the scheme floor 2 h E. The fitted slope of
+    log error against log epsilon is attached when at least two noisy
+    levels are present.
     """
     if seeds < 1:
         raise ValueError("need at least one seed")
-    bound = problem.curvature_bound()
+    noise_levels = levels(epsilons)
+    bound = problem.apriori if problem.apriori is not None else _curvature(problem.data)
     reference = problem.reference()
     weight = problem.weight.values ** 2
     grid = problem.data.grid
-    h = grid.spacing
-    levels = sorted(set(float(e) for e in epsilons), reverse=True)
-    if not all(0.0 <= e < np.inf for e in levels):
-        raise ValueError("noise levels must be nonnegative and finite")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", NoiseFloorWarning)
-        alphas = [optimal_alpha(eps, bound) for eps in levels]
+    floor = 2.0 * grid.spacing * bound
     # Each seed's noise draw serves every level.
     draws = [unit_noise(grid, seed) for seed in range(seeds)]
     rows: list[ToyStudyRow] = []
-    for eps, alpha in zip(levels, alphas):
-        for seed in range(seeds):
+    for eps in noise_levels:
+        alpha = optimal_alpha(eps, bound)
+        predicted = alpha * bound + eps / alpha
+        # noise-free rows are seed-independent
+        for seed in range(seeds if eps > 0.0 else 1):
             solution = toy_solve(problem, alpha, data=perturbed(problem.data, eps, draws[seed]))
             err = norm(solution.values - reference.values, grid, weight)
-            predicted = 2.0 * float(np.sqrt(eps * bound))
-            if eps == 0.0:
-                ok = err <= 1.1 * alpha * bound + 2.0 * h * bound
-            else:
-                ok = err <= 1.1 * predicted
-            rows.append(ToyStudyRow(eps, seed, alpha, err, predicted, ok))
-            if eps == 0.0:
-                break  # noise-free rows are seed-independent
+            rows.append(ToyStudyRow(eps, seed, alpha, err, predicted, err <= 1.1 * predicted + floor))
     noisy_eps = sorted({r.epsilon for r in rows if r.epsilon > 0.0})
     slope = halfwidth = None
     if len(noisy_eps) >= 2:

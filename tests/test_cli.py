@@ -165,6 +165,21 @@ def test_toy_checks_the_data_curvature_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("flags", [["--grid-n", "256"], ["--grid-n", "512"],
+                                   ["--grid-n", "256", "--epsilons", "0,1e-4"]])
+def test_toy_rows_pass_by_one_rule(tmp_path, flags):
+    # every row passes when error <= 1.1 bound + 2 h E, with or without noise; at
+    # n = 256 and 512 the eps = 1e-6 rows are mesh-limited and pass by the 2 h E term
+    out = tmp_path / "toy.csv"
+    assert main(["toy", "--E", "2.0", *flags, "--output", str(out)]) == 0
+    h, E = 1.0 / int(flags[1]), 2.0
+    rows = [ln.split(",") for ln in out.read_text().splitlines()[1:]]
+    for eps, _, _, error, bound, passed in rows:
+        assert passed == str(int(float(error) <= 1.1 * float(bound) + 2.0 * h * E))
+        if float(eps) == 0.0:
+            assert float(bound) == 1e-8 * E
+
+
 @pytest.mark.parametrize("weight", ["const:0", "const:-1"])
 def test_toy_x2_rejects_a_nonpositive_weight_by_name(tmp_path, weight):
     # the x2 reference 2x / w is formed before the problem checks w
@@ -382,6 +397,18 @@ def test_sweep_flag_overrides_config(tmp_path):
     assert code == 0
     text = (out_dir / "sweep.csv").read_text()
     assert len(text.splitlines()) == 7  # header + 2 levels x 3 seeds
+
+
+def test_sweep_runs_a_repeated_level_once(tmp_path):
+    written = {}
+    for name, levels in (("repeated", "1e-2,1e-2,1e-3"), ("distinct", "1e-2,1e-3")):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(f"bspec = constant:1.0\ngrid.n = 1024\nepsilons = {levels}\nseeds = 3\n"
+                       "formats = csv,svg\n")
+        assert main(["sweep", "--config", str(cfg), "--out.dir", str(tmp_path / name)]) == 0
+        written[name] = [(tmp_path / name / f).read_bytes() for f in ("sweep.csv", "sweep.svg")]
+    assert written["repeated"] == written["distinct"]
+    assert len(written["distinct"][0].splitlines()) == 7  # header + 2 levels x 3 seeds
 
 
 def test_sweep_slope_gate_failure(tmp_path):

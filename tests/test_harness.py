@@ -16,7 +16,7 @@ from celldiv.harness import (
     emit_report,
     parse_rate_spec,
 )
-from celldiv.noise import perturbed, unit_noise
+from celldiv.noise import levels, perturbed, unit_noise
 from celldiv.toy import ToyProblem, toy_study
 
 
@@ -45,6 +45,18 @@ def test_config_validation():
     assert cfg.alpha_for(1e-4) == pytest.approx(1e-2)
     fixed = ExperimentConfig("constant:1.0", 12.0, 1024, (1e-3,), alpha_rule="fixed", alpha_c=0.05)
     assert fixed.alpha_for(1e-3) == 0.05
+
+
+@pytest.mark.parametrize("level", [-1e-3, np.nan, np.inf])
+def test_config_rejects_negative_or_nonfinite_level(level):
+    with pytest.raises(ValueError, match="^noise levels must be nonnegative and finite$"):
+        ExperimentConfig("constant:1.0", 12.0, 1024, (1e-3, level))
+
+
+def test_noise_levels_are_distinct_noisiest_first():
+    assert levels([1e-4, "1e-2", 1e-3, 1e-2, 0]) == (1e-2, 1e-3, 1e-4, 0.0)
+    cfg = ExperimentConfig("constant:1.0", 12.0, 1024, (1e-3, 1e-2, 1e-3))
+    assert cfg.epsilons == (1e-2, 1e-3)
 
 
 def test_config_rejects_unknown_scheme():

@@ -1,10 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from celldiv.grid import GridFunction, derivative, make_grid, norm
 from celldiv.toy import (
     ALPHA_FLOOR,
-    NoiseFloorWarning,
     ToyProblem,
     optimal_alpha,
     toy_solve,
@@ -165,9 +166,10 @@ def test_optimal_alpha_values():
 
 
 def test_optimal_alpha_zero_noise_flagged():
-    with pytest.warns(NoiseFloorWarning):
-        alpha = optimal_alpha(0.0, 1.0)
-    assert alpha == ALPHA_FLOOR
+    # the floor replaces alpha = 0 silently: library code does not warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert optimal_alpha(0.0, 1.0) == ALPHA_FLOOR
 
 
 def test_study_slope_and_bound(square_problem):
@@ -190,9 +192,22 @@ def test_study_noise_free_row(square_problem):
     assert len(report.rows) == 1
     row = report.rows[0]
     assert row.epsilon == 0.0
-    assert row.bound == 0.0
+    assert row.bound == ALPHA_FLOOR * 2.0  # alpha E + eps / alpha at eps = 0
     assert row.passed
     assert report.slope is None
+
+
+@pytest.mark.parametrize("level", [-1e-3, np.nan, np.inf])
+def test_study_rejects_negative_or_nonfinite_level(square_problem, level):
+    with pytest.raises(ValueError, match="^noise levels must be nonnegative and finite$"):
+        toy_study(square_problem, seeds=1, epsilons=[1e-3, level])
+
+
+def test_study_runs_a_repeated_level_once(square_problem):
+    repeated = toy_study(square_problem, seeds=2, epsilons=[1e-4, 1e-3, 1e-4, 0.0, 0.0])
+    distinct = toy_study(square_problem, seeds=2, epsilons=[0.0, 1e-4, 1e-3])
+    assert repeated == distinct
+    assert [r.epsilon for r in distinct.rows] == [1e-3, 1e-3, 1e-4, 1e-4, 0.0]
 
 
 def _toy_loop(v, weight, alpha, h):
